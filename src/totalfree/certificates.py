@@ -476,7 +476,13 @@ def decide_totally_free(arr: Arrangement) -> Verdict:
 
 
 def _emission_recheck(cert: NonFreenessCertificate) -> None:
-    """From-scratch sanity pass before a certificate leaves the module."""
+    """From-scratch sanity pass before a certificate leaves the module.
+
+    The GMP2 bound is compared with ``gmp2_max`` in O(rank).  That the
+    balanced partition is the maximum is not proven here: the tests compare
+    ``gmp2_max`` with ``gmp2_max_exhaustive`` at ranks 1..7, and
+    ``verify_certificate`` runs the exhaustive search within its limit.
+    """
     if cert.lmp2_lower <= cert.gmp2_upper:
         raise InternalInvariantError("emission recheck: inequality fails")
     sb = cert.explanation.subset_lower_bound
@@ -484,8 +490,7 @@ def _emission_recheck(cert: NonFreenessCertificate) -> None:
         raise InternalInvariantError("emission recheck: exact LMP2 below subset bound")
     if cert.gmp2_upper > cert.explanation.gmp2_real_bound:
         raise InternalInvariantError("emission recheck: integer max above real bound")
-    exhaustive = gmp2_max_exhaustive(cert.rank, cert.total_multiplicity, limit=100_000)
-    if exhaustive is not None and exhaustive != cert.gmp2_upper:
+    if gmp2_max(cert.rank, cert.total_multiplicity) != cert.gmp2_upper:
         raise InternalInvariantError("emission recheck: balanced maximum is wrong")
 
 

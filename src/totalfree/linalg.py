@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable grids of ``fractions.Fraction``.  Rank, kernels,
-determinants and inverses are computed by rational Gaussian elimination;
-there is no floating point anywhere, so every predicate built on top of
-this module (codimension tests, membership tests, Saito determinants) is
-exact.
+Matrices are immutable grids of ``fractions.Fraction``.  Rank, reduced
+echelon forms, kernels, determinants and inverses all come from one
+fraction-free (Bareiss) elimination on integer-scaled rows, so the
+arithmetic is on Python integers with exact division; there is no floating
+point anywhere, and every predicate built on top of this module
+(codimension tests, membership tests, Saito determinants) is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -24,6 +26,55 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dot of length {len(u)} against {len(v)}")
     return sum((_frac(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _eliminate(entries: Sequence[Vector], cols: int, reduce: bool
+               ) -> tuple[list[list[int]], tuple[int, ...], int, int]:
+    """Fraction-free (Bareiss) elimination of integer-scaled rows.
+
+    Each row is multiplied by the lcm of its denominators, which keeps its
+    span.  Each update divides exactly by the previous pivot (Bareiss, Math.
+    Comp. 1968), so entries stay integers.  Rows below a pivot are cleared;
+    with ``reduce`` also the rows above, after which each pivot row holds the
+    last pivot in its pivot column and the rows past the rank are zero.
+
+    Returns the rows, the pivot columns, the last pivot signed by the row
+    swaps, and the product of the row scales: for a square matrix of full
+    rank the determinant is the third over the fourth.
+    """
+    m = []
+    scale = 1
+    for row in entries:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    n = len(m)
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        pivot_row = m[r]
+        piv = pivot_row[c]
+        for i in range(0 if reduce else r + 1, n):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif piv != prev:
+                m[i] = [piv * a // prev for a in row]
+        pivots.append(c)
+        prev = piv
+    return m, tuple(pivots), sign * prev, scale
 
 
 class Matrix:
@@ -78,45 +129,13 @@ class Matrix:
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = m[r][c]
-            m[r] = [x / inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(m), tuple(pivots)
+        rows, pivots, _, _ = _eliminate(self.entries, self.cols, reduce=True)
+        reduced = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+        return Matrix(reduced + rows[len(pivots):]), pivots
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
-        # Forward elimination only; no need for the reduced form.
-        m = [list(row) for row in self.entries]
-        rank = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(rank, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            piv = m[rank][c]
-            for i in range(rank + 1, self.rows):
-                if m[i][c] != 0:
-                    f = m[i][c] / piv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        return len(_eliminate(self.entries, self.cols, reduce=False)[1])
 
     def kernel_basis(self) -> list[Vector]:
         """Basis of the right null space; empty iff the columns are independent.
@@ -140,23 +159,8 @@ class Matrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self.entries]
-        n = self.rows
-        result = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                result = -result
-            result *= m[c][c]
-            piv = m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] / piv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return result
+        _, pivots, last, scale = _eliminate(self.entries, self.cols, reduce=False)
+        return Fraction(last, scale) if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> Matrix:
         if self.rows != self.cols:
@@ -168,11 +172,3 @@ class Matrix:
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Matrix([row[n:] for row in red.entries])
-
-
-def rank_of_rows(rows: Sequence[Sequence[Scalar]], width: int | None = None) -> int:
-    """Rank of a list of row vectors; handles the empty list."""
-    if not rows:
-        return 0
-    del width
-    return Matrix(rows).rank()

@@ -5,69 +5,43 @@ with additive rank, and the finest such partition is the set of connected
 components of the matroid of normals.  Components are computed from
 fundamental circuits with respect to one greedy basis: link every non-basis
 element to the basis elements of its fundamental circuit; the connected
-components of that graph are the matroid components.  Only exact rank
-queries are needed.
+components of that graph are the matroid components.  One reduced echelon
+form of the normals, taken as columns, yields the basis and every circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, arrangement
+from .arrangement import Arrangement, essentialize, subarrangement
 from .errors import InternalInvariantError
 from .linalg import Matrix
-
-
-def _rank_of(arr: Arrangement, indices: list[int]) -> int:
-    if not indices:
-        return 0
-    return Matrix([arr.hyperplanes[i].normal for i in indices]).rank()
 
 
 def connected_components(arr: Arrangement) -> list[tuple[int, ...]]:
     """Finest partition of hyperplane indices with additive rank.
 
     Blocks are returned sorted by smallest member; the empty arrangement
-    yields the empty partition.  Correctness: a non-basis element lies in a
-    common circuit with exactly the basis elements b for which swapping b
-    out and the element in preserves the rank, and joining along these
-    fundamental circuits reaches every pair that shares any circuit.
+    yields the empty partition.  Correctness: in the reduced echelon form
+    of the matrix whose columns are the normals, the pivot columns are the
+    greedy basis and a non-pivot column holds its normal's coordinates in
+    that basis, so the nonzero rows of the column are the basis elements of
+    its fundamental circuit.  Row i is nonzero exactly on basis element i
+    and the non-basis elements whose circuits contain it; merging the
+    supports of the rows joins along every fundamental circuit, which
+    reaches every pair that shares any circuit.
     """
-    n = arr.n
-    if n == 0:
+    if arr.n == 0:
         return []
-    basis: list[int] = []
-    for i in range(n):
-        if _rank_of(arr, basis + [i]) > len(basis):
-            basis.append(i)
-    full_rank = len(basis)
-    basis_set = set(basis)
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for e in range(n):
-        if e in basis_set:
-            continue
-        for b in basis:
-            swapped = [x for x in basis if x != b] + [e]
-            if _rank_of(arr, swapped) == full_rank:
-                union(e, b)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    blocks = sorted((sorted(g) for g in groups.values()), key=lambda b: b[0])
-    return [tuple(b) for b in blocks]
+    red, basis = Matrix(zip(*arr.normals())).rref()
+    blocks: list[set[int]] = []
+    for row in red.entries[:len(basis)]:
+        block = {e for e, x in enumerate(row) if x != 0}
+        for other in [b for b in blocks if b & block]:
+            block |= other
+            blocks.remove(other)
+        blocks.append(block)
+    return sorted(tuple(sorted(b)) for b in blocks)
 
 
 def is_irreducible(arr: Arrangement) -> bool:
@@ -117,22 +91,14 @@ class Decomposition:
         return max((f.rank for f in self.factors), default=0)
 
 
-def _span_basis_rows(arr: Arrangement, indices: tuple[int, ...]) -> Matrix:
-    red, pivots = Matrix([arr.hyperplanes[i].normal for i in indices]).rref()
-    return Matrix(red.entries[:len(pivots)])
-
-
 def decompose(arr: Arrangement) -> Decomposition:
     """Split into irreducible essential factors ordered by smallest index."""
-    blocks = connected_components(arr)
     factors = []
     basis_rows: list[tuple] = []
-    for block in blocks:
-        basis = _span_basis_rows(arr, block)
-        _, pivots = basis.rref()
-        rows = [[arr.hyperplanes[i].normal[p] for p in pivots] for i in block]
-        factors.append(Factor(arrangement(len(pivots), rows), block))
-        basis_rows.extend(basis.entries)
+    for block in connected_components(arr):
+        ess = essentialize(subarrangement(arr, block))
+        factors.append(Factor(ess.arrangement, block))
+        basis_rows.extend(ess.old_to_new.entries)
     rank = len(basis_rows)
     # Complete the stacked factor bases to an invertible matrix with
     # standard basis vectors, greedily in coordinate order.

@@ -37,6 +37,74 @@ def rank_rows(rows) -> int:
     return rank
 
 
+def fraction_rref(rows, cols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form by rational Gauss-Jordan elimination.
+
+    The package's elimination before it became fraction-free, kept as the
+    reference for it.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def fraction_rank(rows, cols: int) -> int:
+    """Rank by rational forward elimination (reference)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        piv = m[rank][c]
+        for i in range(rank + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] / piv
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by rational forward elimination (reference)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            result = -result
+        result *= m[c][c]
+        piv = m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / piv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return result
+
+
 def set_partitions(items: list):
     """All partitions of a list, as lists of lists."""
     if not items:

@@ -77,8 +77,8 @@ def test_gmp2_max_examples():
 
 
 def test_gmp2_max_matches_exhaustive():
-    for rank in range(1, 5):
-        for total in range(0, 13):
+    for rank in range(1, 8):
+        for total in range(0, 31):
             assert gmp2_max(rank, total) == exhaustive_e2_max(rank, total)
     assert gmp2_max_exhaustive(3, 38) == 481
 
@@ -378,6 +378,22 @@ def test_certificate_inequality_enforced_at_construction():
     expl = CertificateExplanation("LMP2>GMP2max", (0, 1), None, None, None, F(1))
     with pytest.raises(InternalInvariantError):
         NonFreenessCertificate(5, True, 5, 2, 4, (2, 2), expl)
+
+
+def test_emission_recheck_rejects_unbalanced_gmp2():
+    # At rank 6 the exhaustive partition search is far past any practical
+    # limit, so only the comparison with gmp2_max can catch this.
+    from totalfree import InternalInvariantError, NonFreenessCertificate
+    from totalfree.certificates import CertificateExplanation, _emission_recheck
+    rank, total = 6, 1001
+    unbalanced = gmp2_from_exponents((168, 167, 167, 167, 166, 166))
+    assert unbalanced < gmp2_max(rank, total)
+    expl = CertificateExplanation("LMP2>GMP2max", tuple(range(7)), None, None, None,
+                                  gmp2_real_bound(rank, total))
+    cert = NonFreenessCertificate(unbalanced + 1, True, unbalanced, rank, total,
+                                  (1,) * 6 + (995,), expl)
+    with pytest.raises(InternalInvariantError, match="balanced maximum"):
+        _emission_recheck(cert)
 
 
 def test_subarrangement_certificate_path():

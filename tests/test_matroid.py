@@ -22,6 +22,13 @@ def _transformed(arr, change):
     return arrangement(arr.dim, rows)
 
 
+# A rank-3 circuit on x1..x3 and three lines on x4, x5, with the blocks
+# interleaved in index order.
+_INTERLEAVED = arrangement(5, [(1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 1, 0, 0, 0),
+                               (0, 0, 0, 0, 1), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1),
+                               (1, 1, 1, 0, 0)])
+
+
 def test_components_boolean():
     assert connected_components(arrangement(2, [(1, 0), (0, 1)])) == [(0,), (1,)]
 
@@ -55,6 +62,12 @@ def test_components_match_exhaustive_oracle():
         boolean_arrangement(4),
         generic_arrangement(5, 3, seed=1),
         generic_arrangement(6, 3, seed=2),
+        # the first four hyperplanes are dependent, so the greedy basis skips
+        # indices 2 and 3
+        arrangement(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0),
+                        (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)]),
+        _INTERLEAVED,
+        _transformed(_INTERLEAVED, random_invertible(random.Random(5), 5)),
     ]
     for _ in range(8):
         dim = rng.randint(2, 4)
