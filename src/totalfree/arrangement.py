@@ -7,6 +7,11 @@ duplicate-free list of hyperplanes; a multiplicity is a tuple of positive
 integers aligned with that order.  The empty arrangement and dimension-0
 arrangements are legal values (they arise as essentialization output and
 product factors).
+
+Rank-2 structure rests on one integer key: ``span_key(u, v)``, the
+primitive, sign-fixed 2x2 minors of two independent normals, names their
+plane.  Pairs with equal keys form the rank-2 flats, and three normals have
+rank 3 iff span_key(a, b) != span_key(a, c), the generic-circuit test.
 """
 
 from __future__ import annotations
@@ -286,61 +291,67 @@ class Flat2:
     span_basis: tuple[IntVector, IntVector]
 
 
+def span_key(u: Sequence[int], v: Sequence[int]) -> IntVector:
+    """Key of the plane spanned by two independent integer normals.
+
+    The 2x2 minors u_p v_q - u_q v_p (p < q) of u ^ v, divided by their gcd,
+    first nonzero minor positive: two pairs span one plane iff keys are equal.
+    """
+    minors = [u[p] * v[q] - u[q] * v[p]
+              for p in range(len(u)) for q in range(p + 1, len(u))]
+    g = math.gcd(*minors)
+    if g == 0:
+        raise ValueError("dependent normals span no plane")
+    if next(x for x in minors if x) < 0:
+        g = -g
+    return tuple(x // g for x in minors)
+
+
 def rank2_flats(arr: Arrangement) -> list[Flat2]:
     """All closed rank-2 flats, ordered by their two smallest members.
 
-    Every pair of distinct hyperplanes in a central arrangement has
-    independent normals, so each pair lies in exactly one returned flat.
+    Distinct hyperplanes have independent normals, so each pair lies in
+    exactly one flat: the pairs sharing its ``span_key``.  In lexicographic
+    pair order a flat starts at its two smallest members, and every other
+    member k arrives, increasing, with the pair (smallest, k).
     """
     normals = arr.normals()
-    flats: list[Flat2] = []
-    covered: set[tuple[int, int]] = set()
+    groups: dict[IntVector, list[int]] = {}
     for i in range(arr.n):
         for j in range(i + 1, arr.n):
-            if (i, j) in covered:
-                continue
-            members = [i, j]
-            for k in range(arr.n):
-                if k in (i, j):
-                    continue
-                if Matrix([normals[i], normals[j], normals[k]]).rank() == 2:
-                    members.append(k)
-            members.sort()
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    covered.add((members[a], members[b]))
-            flats.append(Flat2(tuple(members),
-                               (normals[members[0]], normals[members[1]])))
-    return flats
+            members = groups.setdefault(span_key(normals[i], normals[j]), [i])
+            if members[0] == i:
+                members.append(j)
+    return [Flat2(tuple(members), (normals[members[0]], normals[members[1]]))
+            for members in groups.values()]
 
 
 def localization(arr: Arrangement, m: Multiplicity, flat: Flat2
                  ) -> tuple[Arrangement, Multiplicity]:
-    """The rank-2 multiarrangement seen in the coordinates of a flat's span."""
+    """The rank-2 multiarrangement seen in the coordinates of a flat's span.
+
+    For the span basis (u, v) and the first coordinates (p, q) with
+    D = u_p v_q - u_q v_p nonzero, member a is ((a ^ v) u + (u ^ a) v) / D,
+    wedges taken on (p, q); D cancels in the normalization of the rows.
+    """
     check_multiplicity(arr, m)
-    span = Matrix(list(flat.span_basis))
-    if span.cols != arr.dim:
-        raise MalformedFlatError(
-            f"span basis has arity {span.cols}, ambient dimension is {arr.dim}")
-    _, pivots = span.rref()
-    if len(pivots) != 2:
+    u, v = flat.span_basis
+    if len(u) != arr.dim or len(v) != arr.dim:
+        raise MalformedFlatError(f"span basis arity is not the dimension {arr.dim}")
+    d, p, q = next(((u[p] * v[q] - u[q] * v[p], p, q) for p in range(arr.dim)
+                    for q in range(p + 1, arr.dim) if u[p] * v[q] != u[q] * v[p]),
+                   (0, 0, 0))
+    if d == 0:
         raise MalformedFlatError("span basis is not two independent covectors")
-    block = Matrix([[span.entries[r][c] for c in pivots] for r in range(2)])
-    inv = block.inverse()
-    rows = []
-    mult = []
+    rows, mult = [], []
     for k in flat.members:
         if not 0 <= k < arr.n:
             raise MalformedFlatError(f"member index {k} out of range")
         a = arr.hyperplanes[k].normal
-        coeff = tuple(sum(_frac(a[pivots[r]]) * inv.entries[r][c] for r in range(2))
-                      for c in range(2))
-        # coeff solves coeff . span = a on the pivot columns; verify the rest.
-        for c in range(arr.dim):
-            if sum(coeff[r] * span.entries[r][c] for r in range(2)) != a[c]:
-                raise MalformedFlatError(
-                    f"hyperplane {k} does not lie in the flat's span")
-        rows.append(coeff)
+        c1, c2 = a[p] * v[q] - a[q] * v[p], u[p] * a[q] - u[q] * a[p]
+        if any(d * a_i != c1 * u_i + c2 * v_i for a_i, u_i, v_i in zip(a, u, v)):
+            raise MalformedFlatError(f"hyperplane {k} does not lie in the flat's span")
+        rows.append((c1, c2))
         mult.append(m[k])
     return arrangement(2, rows), tuple(mult)
 

@@ -34,10 +34,10 @@ from .arrangement import (
     localization,
     rank2_flats,
     restriction,
+    span_key,
     subarrangement,
 )
 from .errors import InternalInvariantError, ReducibleInputError
-from .linalg import Matrix
 from .matroid import Decomposition, Factor, connected_components, decompose
 from .rank2 import ExponentPair, rank2_basis, rank2_exponents
 
@@ -139,14 +139,13 @@ def is_generic_circuit(arr: Arrangement, indices: tuple[int, ...]) -> bool:
 
 
 def _all_triples_rank3(arr: Arrangement, indices) -> bool:
+    """Every three of these distinct hyperplanes have rank 3 (see span_key)."""
     normals = [arr.hyperplanes[i].normal for i in indices]
-    for a, b, c in combinations(range(len(normals)), 3):
-        if Matrix([normals[a], normals[b], normals[c]]).rank() != 3:
-            return False
-    return True
+    return all(span_key(a, b) != span_key(a, c)
+               for a, b, c in combinations(normals, 3))
 
 
-def _require_connected_rank3(arr: Arrangement) -> int:
+def _require_connected_rank3(arr: Arrangement) -> None:
     """Shared precondition of the witness operations.
 
     Essentiality is not required: trivial directions change neither ranks
@@ -159,29 +158,20 @@ def _require_connected_rank3(arr: Arrangement) -> int:
         raise ReducibleInputError(f"rank {rank} < 3: no irreducible factor of rank >= 3")
     if len(connected_components(arr)) != 1:
         raise ReducibleInputError("arrangement is reducible")
-    return rank
 
 
 def _brute_circuit(arr: Arrangement) -> list[int]:
     """Lexicographically first (rank+1)-subset whose triples all have rank 3."""
     n = arr.n
     size = arr.rank() + 1
-    normals = arr.normals()
-    triple_ok: dict[tuple[int, int, int], bool] = {}
-
-    def ok(a: int, b: int, c: int) -> bool:
-        key = (a, b, c)
-        if key not in triple_ok:
-            triple_ok[key] = Matrix([normals[a], normals[b], normals[c]]).rank() == 3
-        return triple_ok[key]
-
     chosen: list[int] = []
 
     def extend(start: int) -> list[int] | None:
         if len(chosen) == size:
             return list(chosen)
         for i in range(start, n - (size - len(chosen)) + 1):
-            if all(ok(a, b, i) for a, b in combinations(chosen, 2)):
+            if all(_all_triples_rank3(arr, (a, b, i))
+                   for a, b in combinations(chosen, 2)):
                 chosen.append(i)
                 found = extend(i + 1)
                 if found is not None:
@@ -384,8 +374,8 @@ def nonfree_multiplicity_family(arr: Arrangement, method: str = "proof"
     gap guarantees k0 exists and the inequality persists for every k >= k0
     beyond the larger root of the real-bound quadratic.
     """
-    rank = _require_connected_rank3(arr)
     circuit = find_generic_circuit(arr, method)
+    rank = len(circuit.indices) - 1
     n = arr.n
     pairs = comb(rank + 1, 2)
     # Termination cap from the real-bound quadratic c2*k^2 - c1*k - c0.

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .arrangement import Arrangement, Hyperplane, normalize_hyperplane
-from .linalg import Matrix
+from .arrangement import Arrangement, Hyperplane, normalize_hyperplane, span_key
 
 
 def boolean_arrangement(dim: int) -> Arrangement:
@@ -56,7 +55,7 @@ def generic_arrangement(n: int, dim: int, seed: int = 0) -> Arrangement:
         if h.normal in normals:
             continue
         if dim >= 3 and len(chosen) >= 2:
-            ok = all(Matrix([a.normal, b.normal, h.normal]).rank() == 3
+            ok = all(span_key(a.normal, b.normal) != span_key(a.normal, h.normal)
                      for i, a in enumerate(chosen) for b in chosen[i + 1:])
             if not ok:
                 continue

@@ -114,9 +114,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self) -> Matrix:
-        return Matrix(zip(*self.entries)) if self.rows else Matrix([[]] * 0)
-
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from totalfree.linalg import Matrix
 
@@ -103,6 +104,52 @@ def fraction_det(rows) -> Fraction:
                 f = m[i][c] / piv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return result
+
+
+def primitive(vec) -> tuple[int, ...]:
+    """Integer multiple of a nonzero rational vector: gcd 1, first nonzero > 0."""
+    fracs = [Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in fracs))
+    ints = [int(x * den) for x in fracs]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def brute_rank2_flats(normals) -> list[tuple[int, ...]]:
+    """Member tuples of the rank-2 flats by 3x3 rational ranks.
+
+    The flat of a pair (i, j) is i, j and every k whose normal has rank 2
+    together with theirs; flats are listed as their first pair comes in
+    lexicographic order.
+    """
+    dim = len(normals[0]) if normals else 0
+    flats = []
+    covered = set()
+    for i, j in combinations(range(len(normals)), 2):
+        if (i, j) in covered:
+            continue
+        members = tuple(k for k in range(len(normals)) if k in (i, j)
+                        or fraction_rank([normals[i], normals[j], normals[k]], dim) == 2)
+        covered.update(combinations(members, 2))
+        flats.append(members)
+    return flats
+
+
+def rref_localization(normals, members, u, v) -> list[tuple[int, ...]]:
+    """Primitive coordinates of each member normal in the basis (u, v).
+
+    Solves c1 u + c2 v = a by reducing the columns u, v, a; a is required to
+    lie in the span.
+    """
+    out = []
+    for k in members:
+        a = normals[k]
+        red, pivots = fraction_rref([[u[t], v[t], a[t]] for t in range(len(a))], 3)
+        assert pivots == (0, 1), f"normal {k} is not in the span of u and v"
+        out.append(primitive((red[0][2], red[1][2])))
+    return out
 
 
 def set_partitions(items: list):

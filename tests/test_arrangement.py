@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totalfree import (
     DimensionMismatchError,
@@ -25,8 +27,11 @@ from totalfree import (
     rank2_flats,
     restriction,
 )
+from totalfree.arrangement import span_key
+from totalfree.certificates import _all_triples_rank3
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly
+from oracles import brute_rank2_flats, fraction_rank, random_invertible, rref_localization
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -162,6 +167,56 @@ def test_flats_generic():
     assert sorted(len(f.members) for f in flats) == [2] * 6
 
 
+@st.composite
+def small_arrangements(draw):
+    """Integer normals in [-3, 3] of dims 2..5, or braid 4/5 in new coordinates."""
+    if draw(st.booleans()):
+        braid = braid_arrangement(draw(st.sampled_from([4, 5])))
+        change = random_invertible(random.Random(draw(st.integers(0, 10**6))), braid.dim)
+        return arrangement(braid.dim, [
+            [sum(h.normal[k] * change.entries[k][j] for k in range(braid.dim))
+             for j in range(braid.dim)] for h in braid.hyperplanes])
+    dim = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+                         .filter(any), min_size=1, max_size=8))
+    return arrangement(dim, dict.fromkeys(normalize_hyperplane(r).normal for r in rows))
+
+
+def test_span_key_names_the_plane():
+    u, v = (1, -1, 0, 0), (0, 1, -1, 0)
+    key = span_key(u, v)
+    assert key == (1, -1, 0, 1, 0, 0)
+    assert span_key(v, u) == span_key((2, -1, -1, 0), (-1, 2, -1, 0)) == key
+    assert span_key(u, (0, 0, 1, -1)) != key
+    with pytest.raises(ValueError):
+        span_key(u, (-2, 2, 0, 0))
+
+
+@settings(max_examples=120)
+@given(small_arrangements())
+def test_rank2_structure_matches_fraction_reference(arr):
+    normals = arr.normals()
+    flats = rank2_flats(arr)
+    assert [f.members for f in flats] == brute_rank2_flats(normals)
+    for f in flats:
+        assert f.span_basis == (normals[f.members[0]], normals[f.members[1]])
+    for triple in combinations(range(arr.n), 3):
+        expected = fraction_rank([normals[i] for i in triple], arr.dim) == 3
+        assert _all_triples_rank3(arr, triple) == expected
+
+
+@settings(max_examples=120)
+@given(small_arrangements())
+def test_localization_matches_fraction_rref(arr):
+    normals = arr.normals()
+    m = tuple(range(1, arr.n + 1))
+    for f in rank2_flats(arr):
+        local, mult = localization(arr, m, f)
+        assert local.dim == 2
+        assert local.normals() == rref_localization(normals, f.members, *f.span_basis)
+        assert mult == tuple(m[k] for k in f.members)
+
+
 def test_flats_partition_pairs():
     for arr in (braid_arrangement(4), braid_arrangement(5),
                 generic_arrangement(5, 3, seed=9), boolean_arrangement(4)):
@@ -205,11 +260,16 @@ def test_localization_of_rank2_arrangement_is_itself():
     assert mult == (2, 3, 4)
 
 
-def test_localization_rejects_foreign_flat():
+@pytest.mark.parametrize("members, basis, message", [
+    ((0, 1), ((1, 0, 0), (0, 1, 0)), "arity"),
+    ((0, 1), ((1, -1, 0, 0), (2, -2, 0, 0)), "independent"),
+    ((0, 1, 6), ((1, -1, 0, 0), (1, 0, -1, 0)), "out of range"),
+    ((0, 1, 2), ((1, -1, 0, 0), (1, 0, -1, 0)), "does not lie"),
+], ids=["arity", "dependent-basis", "member-out-of-range", "member-outside-span"])
+def test_localization_rejects_foreign_flat(members, basis, message):
     from totalfree import Flat2
-    bad = Flat2((0, 1), ((1, 0, 0), (0, 1, 0)))
-    with pytest.raises(MalformedFlatError):
-        localization(braid_arrangement(4), (1,) * 6, bad)
+    with pytest.raises(MalformedFlatError, match=message):
+        localization(braid_arrangement(4), (1,) * 6, Flat2(members, basis))
 
 
 # -- product -----------------------------------------------------------------
