@@ -28,7 +28,7 @@ from .errors import (
     MalformedFlatError,
     ParseError,
 )
-from .linalg import Matrix, Scalar, _frac
+from .linalg import Matrix, Scalar, _eliminate, _frac
 from .poly import HomPoly, divisible_by_power
 
 IntVector = tuple[int, ...]
@@ -54,17 +54,14 @@ class Hyperplane:
 
 def normalize_hyperplane(coeffs: Sequence[Scalar]) -> Hyperplane:
     """Canonical form: clear denominators, divide by gcd, first nonzero > 0."""
-    fracs = [_frac(c) for c in coeffs]
-    if all(c == 0 for c in fracs):
+    coeffs = [c if type(c) is int else _frac(c) for c in coeffs]  # ints need no Fraction
+    den = math.lcm(*(c.denominator for c in coeffs))
+    coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+    first = next((c for c in coeffs if c), 0)
+    if not first:
         raise ValueError("zero covector does not define a hyperplane")
-    denom_lcm = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * denom_lcm) for c in fracs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    first = next(c for c in ints if c != 0)
-    if first < 0:
-        ints = [-c for c in ints]
-    return Hyperplane(tuple(ints))
+    g = math.gcd(*coeffs) if first > 0 else -math.gcd(*coeffs)
+    return Hyperplane(tuple(c // g for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ class Arrangement:
         return Matrix(self.normals())
 
     def rank(self) -> int:
-        return self.normal_matrix().rank() if self.hyperplanes else 0
+        return len(_eliminate(self.normals(), self.dim, reduce=False)[1])
 
     def __str__(self) -> str:
         body = ", ".join(str(h) for h in self.hyperplanes)

@@ -489,9 +489,13 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
 
     LMP2 is rebuilt flat by flat from actual basis derivations (each pair
     checked by saito_verify inside rank2_basis), and the GMP2 maximum is
-    re-derived by exhaustive partition search when feasible.
+    re-derived by exhaustive partition search when feasible.  Indices must
+    be distinct and in range, multiplicities one positive int per hyperplane.
     """
     indices = cert.explanation.factor_indices
+    if (len(set(indices) & set(range(arr.n))) != len(indices) or len(cert.multiplicity) != arr.n
+            or not all(type(v) is int and v > 0 for v in cert.multiplicity)):
+        return False
     sub = subarrangement(arr, indices)
     m_sub = tuple(cert.multiplicity[i] for i in indices)
     if sum(m_sub) != cert.total_multiplicity or sub.rank() != cert.rank:

@@ -28,7 +28,7 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
     return sum((_frac(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _eliminate(entries: Sequence[Vector], cols: int, reduce: bool
+def _eliminate(entries: Sequence[Sequence[Scalar]], cols: int, reduce: bool
                ) -> tuple[list[list[int]], tuple[int, ...], int, int]:
     """Fraction-free (Bareiss) elimination of integer-scaled rows.
 

@@ -5,13 +5,14 @@ summing to the degree) to nonzero ``Fraction`` coefficients.  The zero
 polynomial is the empty map with the conventional degree marker -1.
 Everything an arrangement needs reduces to three exact primitives: ring
 arithmetic, linear changes of variables, and the power-divisibility test
-``alpha^m | f`` implemented through such a change of variables.
+``alpha^m | f``, made by ``m`` rounds of exact integer division by ``alpha``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .linalg import Matrix, Scalar, _frac
@@ -204,10 +205,16 @@ class HomPoly:
 def divisible_by_power(f: HomPoly, alpha: HomPoly, m: int) -> bool:
     """Exact test of ``alpha^m | f`` for a nonzero linear form ``alpha``.
 
-    Performs an invertible linear change of variables sending ``alpha`` to a
-    scalar multiple of the first coordinate, then inspects the surviving
-    monomials: divisibility holds iff all of them have first-variable
-    exponent at least ``m``.  The zero polynomial is divisible by anything.
+    Makes ``m`` rounds of division by ``alpha`` and stops at the first
+    nonzero remainder; the zero polynomial is divisible by anything.  ``f``
+    is cleared of denominators and ``alpha`` scaled by lcm(denominators) /
+    gcd(numerators) to a primitive integer covector.  With ``alpha = a_p x_p
+    + beta``, a round goes from the top ``x_p`` degree down: a term ``c x^e``
+    gives the quotient term ``(c / a_p) x^e / x_p``, whose product with
+    ``beta`` is subtracted one degree lower; what is left at degree 0 is the
+    remainder.  By Gauss's lemma a primitive ``alpha`` that divides an
+    integer ``f`` leaves an integer quotient, so an ``a_p`` that does not
+    divide ``c`` already proves that ``alpha`` does not divide ``f``.
     """
     if not alpha.is_linear() or alpha.is_zero():
         raise ValueError("alpha must be a nonzero linear form")
@@ -217,24 +224,33 @@ def divisible_by_power(f: HomPoly, alpha: HomPoly, m: int) -> bool:
         raise ValueError("f and alpha live in different variable sets")
     if f.is_zero():
         return True
-    if f.degree < m:
-        return False
-    n = f.num_vars
-    a = [alpha.coeffs.get(tuple(1 if j == i else 0 for j in range(n)), Fraction(0))
-         for i in range(n)]
-    p = next(i for i, c in enumerate(a) if c != 0)
-    # Columns: e_p (alpha evaluates to a_p != 0), then a kernel basis of alpha.
-    cols: list[list[Fraction]] = [[Fraction(1) if i == p else Fraction(0) for i in range(n)]]
-    for j in range(n):
-        if j == p:
-            continue
-        w = [Fraction(0)] * n
-        w[j] = a[p]
-        w[p] = -a[j]
-        cols.append(w)
-    change = Matrix([[cols[c][i] for c in range(n)] for i in range(n)])
-    g = f.substitute(change)
-    return all(e[0] >= m for e in g.coeffs)
+    a = {e.index(1): c for e, c in alpha.coeffs.items()}
+    den, g = lcm(*(c.denominator for c in a.values())), gcd(*(c.numerator for c in a.values()))
+    a = {j: c.numerator * (den // c.denominator) // g for j, c in a.items()}
+    p, a_p = a.popitem()
+    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    terms = {e: c.numerator * (den // c.denominator) for e, c in f.coeffs.items()}
+    for degree in range(f.degree, f.degree - m, -1):
+        by_degree: list[dict[Exponent, int]] = [{} for _ in range(degree + 1)]
+        for e, c in terms.items():
+            by_degree[e[p]][e] = c
+        terms = {}
+        for k in range(degree, 0, -1):
+            lower = by_degree[k - 1]
+            for e, c in by_degree[k].items():
+                if not c:
+                    continue
+                q, r = divmod(c, a_p)
+                if r:
+                    return False
+                e = e[:p] + (k - 1,) + e[p + 1:]
+                terms[e] = q
+                for j, b in a.items():
+                    e2 = e[:j] + (e[j] + 1,) + e[j + 1:]
+                    lower[e2] = lower.get(e2, 0) - q * b
+        if any(by_degree[0].values()):
+            return False
+    return True
 
 
 def poly_det(grid: Sequence[Sequence[HomPoly]]) -> HomPoly:

@@ -117,6 +117,45 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def substitution_divisible_by_power(f, alpha, m: int) -> bool:
+    """Exact test of ``alpha^m | f`` for a nonzero linear form ``alpha``.
+
+    Performs an invertible linear change of variables sending ``alpha`` to a
+    scalar multiple of the first coordinate, then inspects the surviving
+    monomials: divisibility holds iff all of them have first-variable
+    exponent at least ``m``.  The zero polynomial is divisible by anything.
+
+    The package's test before it became division by ``alpha``, kept as the
+    reference for it.
+    """
+    if not alpha.is_linear() or alpha.is_zero():
+        raise ValueError("alpha must be a nonzero linear form")
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if f.num_vars != alpha.num_vars:
+        raise ValueError("f and alpha live in different variable sets")
+    if f.is_zero():
+        return True
+    if f.degree < m:
+        return False
+    n = f.num_vars
+    a = [alpha.coeffs.get(tuple(1 if j == i else 0 for j in range(n)), Fraction(0))
+         for i in range(n)]
+    p = next(i for i, c in enumerate(a) if c != 0)
+    # Columns: e_p (alpha evaluates to a_p != 0), then a kernel basis of alpha.
+    cols: list[list[Fraction]] = [[Fraction(1) if i == p else Fraction(0) for i in range(n)]]
+    for j in range(n):
+        if j == p:
+            continue
+        w = [Fraction(0)] * n
+        w[j] = a[p]
+        w[p] = -a[j]
+        cols.append(w)
+    change = Matrix([[cols[c][i] for c in range(n)] for i in range(n)])
+    g = f.substitute(change)
+    return all(e[0] >= m for e in g.coeffs)
+
+
 def brute_rank2_flats(normals) -> list[tuple[int, ...]]:
     """Member tuples of the rank-2 flats by 3x3 rational ranks.
 

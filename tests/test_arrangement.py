@@ -31,7 +31,8 @@ from totalfree.arrangement import span_key
 from totalfree.certificates import _all_triples_rank3
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly
-from oracles import brute_rank2_flats, fraction_rank, random_invertible, rref_localization
+from oracles import (
+    brute_rank2_flats, fraction_rank, primitive, random_invertible, rref_localization)
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -54,6 +55,16 @@ def test_normalize_idempotent_and_equality():
         h = normalize_hyperplane(v)
         assert normalize_hyperplane(h.normal) == h
         assert normalize_hyperplane([c * Fraction(-7, 3) for c in v]) == h
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=6).filter(any),
+       st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+def test_normalize_int_fraction_and_rescaled_agree(v, scale):
+    h = normalize_hyperplane(v)
+    assert all(type(c) is int for c in h.normal) and h.normal == primitive(v)
+    assert normalize_hyperplane([Fraction(c) for c in v]) == h
+    assert normalize_hyperplane([c * scale for c in v]) == h
 
 
 def test_normalize_rejects_zero():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -361,7 +362,6 @@ def test_verdict_invariant_under_coordinate_change():
 
 
 def test_verify_rejects_tampered_certificate():
-    import dataclasses
     arr = braid_arrangement(4)
     cert = decide_totally_free(arr).witness.certificate
     weakened = dataclasses.replace(cert, multiplicity=(1,) * 6,
@@ -369,6 +369,40 @@ def test_verify_rejects_tampered_certificate():
     assert not verify_certificate(arr, weakened)
     inflated = dataclasses.replace(cert, lmp2_lower=cert.lmp2_lower + 1)
     assert not verify_certificate(arr, inflated)
+
+
+def _with_indices(cert, indices):
+    return dataclasses.replace(
+        cert, explanation=dataclasses.replace(cert.explanation, factor_indices=indices))
+
+
+def _with_multiplicity(cert, m):
+    return dataclasses.replace(cert, multiplicity=m)
+
+
+def _moved(cert, amount):
+    # moves multiplicity from the first hyperplane to the second; the total stays
+    m = cert.multiplicity
+    return _with_multiplicity(cert, (m[0] - amount, m[1] + amount) + m[2:])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda c: _with_indices(c, (0, 1, 2, 3, 4, 6)),
+    lambda c: _with_indices(c, (0, 1, 2, 3, 4, -1)),
+    lambda c: _with_indices(c, (0, 1, 2, 3, 4, 4)),
+    lambda c: _with_multiplicity(c, c.multiplicity[:-1]),
+    lambda c: _with_multiplicity(c, c.multiplicity + (1,)),
+    lambda c: _moved(c, c.multiplicity[0]),
+    lambda c: _moved(c, c.multiplicity[0] + 1),
+    lambda c: _moved(c, Fraction(1, 2)),
+], ids=["index-out-of-range", "negative-index", "repeated-index", "short-multiplicity",
+        "long-multiplicity", "zero-multiplicity", "negative-multiplicity",
+        "fractional-multiplicity"])
+def test_verify_rejects_malformed_certificate(tamper):
+    arr = braid_arrangement(4)
+    cert = decide_totally_free(arr).witness.certificate
+    assert verify_certificate(arr, cert) is True
+    assert verify_certificate(arr, tamper(cert)) is False
 
 
 def test_certificate_inequality_enforced_at_construction():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, divisible_by_power, parse_poly, poly_det, poly_to_str
+from oracles import substitution_divisible_by_power
 
 
 def _p(num_vars, terms):
@@ -46,6 +47,44 @@ def test_divisibility_examples():
     assert divisible_by_power(xmy ** 3, xmy, 4) is False
     assert divisible_by_power(xmy ** 3, xmy, 3) is True
     assert divisible_by_power(HomPoly.zero(2), x, 5) is True
+
+
+def test_divisibility_gauss_lemma_examples():
+    # f has rational coefficients, and alpha is twice its factor x + 3/2 y
+    f = (x + y.scale(Fraction(3, 2))) ** 2 * x
+    alpha = HomPoly.linear([2, 3])
+    assert divisible_by_power(f, alpha, 2) is True
+    assert divisible_by_power(f, alpha, 3) is False
+    # f has content 6, and the quotient by (x - y)^3 is 6y
+    f = (x - y) ** 3 * y.scale(6)
+    assert divisible_by_power(f, x - y, 3) is True
+    assert divisible_by_power(f, x - y, 4) is False
+
+
+_COEFF = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_NONZERO = _COEFF.filter(bool)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_divisibility_matches_substitution_oracle(data):
+    n = data.draw(st.integers(1, 4), label="num_vars")
+    vector = st.lists(_COEFF, min_size=n, max_size=n)
+    scale = st.sampled_from([1, -1, 2, 6, Fraction(3, 4), Fraction(-5, 2)])
+    alpha = HomPoly.linear([c * data.draw(scale, label="alpha scale")
+                            for c in data.draw(vector.filter(any), label="alpha")])
+    degree = data.draw(st.integers(0, 3), label="cofactor degree")
+    monomial = st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree)
+    g = HomPoly.from_terms(n, {tuple(map(v.count, range(n))): c for v, c in data.draw(
+        st.lists(st.tuples(monomial, _NONZERO), min_size=1, max_size=4), label="cofactor")})
+    f = (g * alpha ** data.draw(st.integers(0, 5), label="k")).scale(
+        data.draw(scale, label="content"))
+    if not f.is_zero() and data.draw(st.booleans(), label="extra term"):
+        extra = data.draw(st.lists(st.integers(0, n - 1), min_size=f.degree,
+                                   max_size=f.degree), label="extra monomial")
+        f = f + HomPoly.monomial(n, tuple(map(extra.count, range(n))), data.draw(_NONZERO))
+    m = data.draw(st.integers(1, 6), label="m")
+    assert divisible_by_power(f, alpha, m) == substitution_divisible_by_power(f, alpha, m)
 
 
 def test_divisibility_rejects_bad_alpha():
