@@ -75,9 +75,11 @@ from .matroid import (
 from .poly import HomPoly, divisible_by_power, parse_poly, poly_det, poly_to_str
 from .rank2 import (
     ExponentPair,
+    SaitoCheck,
     exponents_totally_free,
     rank2_basis,
     rank2_exponents,
+    saito_check,
     saito_verify,
 )
 

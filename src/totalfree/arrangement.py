@@ -115,7 +115,7 @@ def check_multiplicity(arr: Arrangement, m: Multiplicity) -> None:
     if len(m) != arr.n:
         raise DimensionMismatchError(
             f"multiplicity has {len(m)} entries for {arr.n} hyperplanes")
-    if any(v < 1 for v in m):
+    if not all(type(v) is int and v >= 1 for v in m):
         raise ValueError("multiplicities must be positive integers")
 
 
@@ -165,6 +165,11 @@ def euler_derivation(dim: int) -> Derivation:
     return derivation([HomPoly.variable(dim, i) for i in range(dim)])
 
 
+def is_member_at(theta: Derivation, h: Hyperplane, mult: int) -> bool:
+    """True iff theta(alpha_H) is divisible by alpha_H^mult."""
+    return divisible_by_power(theta.apply_to(h.normal), h.linear_form(), mult)
+
+
 def is_member(theta: Derivation, arr: Arrangement, m: Multiplicity) -> bool:
     """Membership in the logarithmic derivation module of ``(arr, m)``.
 
@@ -175,11 +180,7 @@ def is_member(theta: Derivation, arr: Arrangement, m: Multiplicity) -> bool:
         raise DimensionMismatchError(
             f"derivation in {theta.dim} variables on a dimension-{arr.dim} arrangement")
     check_multiplicity(arr, m)
-    for h, mult in zip(arr.hyperplanes, m):
-        value = theta.apply_to(h.normal)
-        if not divisible_by_power(value, h.linear_form(), mult):
-            return False
-    return True
+    return all(is_member_at(theta, h, mult) for h, mult in zip(arr.hyperplanes, m))
 
 
 # -- structural operations -------------------------------------------------

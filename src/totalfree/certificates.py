@@ -37,7 +37,7 @@ from .arrangement import (
     span_key,
     subarrangement,
 )
-from .errors import InternalInvariantError, ReducibleInputError
+from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
 from .matroid import Decomposition, Factor, connected_components, decompose
 from .rank2 import ExponentPair, rank2_basis, rank2_exponents
 
@@ -493,8 +493,11 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     be distinct and in range, multiplicities one positive int per hyperplane.
     """
     indices = cert.explanation.factor_indices
-    if (len(set(indices) & set(range(arr.n))) != len(indices) or len(cert.multiplicity) != arr.n
-            or not all(type(v) is int and v > 0 for v in cert.multiplicity)):
+    try:
+        check_multiplicity(arr, cert.multiplicity)
+    except (DimensionMismatchError, ValueError):
+        return False
+    if len(set(indices) & set(range(arr.n))) != len(indices):
         return False
     sub = subarrangement(arr, indices)
     m_sub = tuple(cert.multiplicity[i] for i in indices)

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .families import boolean_arrangement, braid_arrangement, generic_arrangement
 from .poly import HomPoly, parse_poly, poly_to_str
-from .rank2 import exponents_totally_free, rank2_basis, saito_verify
+from .rank2 import exponents_totally_free, rank2_basis, saito_check
 from .matroid import decompose
 
 
@@ -223,11 +223,11 @@ def cmd_exponents(args) -> int:
                  "multiplicities": list(sub_m)}
         if factor.rank == 2:
             theta1, theta2 = rank2_basis(factor.arrangement, sub_m)
-            det, constant, factorization = _saito_product(factor.arrangement, sub_m,
-                                                          theta1, theta2)
+            check = saito_check(factor.arrangement, sub_m, (theta1, theta2))
+            factorization = _saito_product(factor.arrangement, sub_m, check.constant)
             entry["basis"] = [_derivation_payload(theta1), _derivation_payload(theta2)]
-            entry["saito_det"] = poly_to_str(det)
-            entry["saito_constant"] = _jsonable(constant)
+            entry["saito_det"] = poly_to_str(check.det)
+            entry["saito_constant"] = _jsonable(check.constant)
             entry["saito_factorization"] = factorization
             human_lines.append(
                 f"factor {list(factor.indices)} (rank 2): exponents "
@@ -254,21 +254,12 @@ def _derivation_payload(theta) -> dict:
             "components": [poly_to_str(c) for c in theta.components]}
 
 
-def _saito_product(arr2, m, theta1, theta2):
-    from .poly import poly_det
-    det = poly_det([[theta1.components[0], theta1.components[1]],
-                    [theta2.components[0], theta2.components[1]]])
-    target = HomPoly.constant(2, 1)
-    for h, mult in zip(arr2.hyperplanes, m):
-        target = target * h.linear_form() ** mult
-    probe = next(iter(target.coeffs))
-    constant = det.coeffs[probe] / target.coeffs[probe]
+def _saito_product(arr2, m, constant) -> str:
     pieces = []
     for h, mult in zip(arr2.hyperplanes, m):
         form = poly_to_str(h.linear_form())
         pieces.append(f"({form})^{mult}" if mult > 1 else f"({form})")
-    factorization = f"{constant} * " + " * ".join(pieces) if pieces else str(constant)
-    return det, constant, factorization
+    return f"{constant} * " + " * ".join(pieces)
 
 
 def cmd_lmp2(args) -> int:
@@ -383,19 +374,11 @@ def cmd_saito_verify(args) -> int:
     if len(thetas) != arr.dim:
         raise ParseError(f"basis file has {len(thetas)} derivations, "
                          f"expected {arr.dim}")
-    from .poly import divisible_by_power, poly_det
-    memberships = []
-    for i, h in enumerate(arr.hyperplanes):
-        per_theta = []
-        for theta in thetas:
-            value = theta.apply_to(h.normal)
-            per_theta.append(divisible_by_power(value, h.linear_form(), m[i]))
-        memberships.append({"hyperplane": list(h.normal), "mult": m[i],
-                            "member": per_theta})
-    verified = saito_verify(arr, m, tuple(thetas))
-    det = poly_det([[t.components[j] for j in range(arr.dim)] for t in thetas])
-    payload = {"verified": verified,
-               "determinant": poly_to_str(det),
+    check = saito_check(arr, m, thetas)
+    memberships = [{"hyperplane": list(h.normal), "mult": mult, "member": list(row)}
+                   for h, mult, row in zip(arr.hyperplanes, m, check.memberships)]
+    payload = {"verified": check.verified,
+               "determinant": poly_to_str(check.det),
                "memberships": memberships}
     report = make_report("saito-verify", arr, payload)
     human_lines = []
@@ -404,7 +387,7 @@ def cmd_saito_verify(args) -> int:
         human_lines.append(f"hyperplane {entry['hyperplane']} mult {entry['mult']}: "
                            f"membership [{flags}]")
     human_lines.append(f"determinant: {payload['determinant']}")
-    human_lines.append("VERIFIED: basis of the derivation module" if verified
+    human_lines.append("VERIFIED: basis of the derivation module" if check.verified
                        else "REJECTED: not a basis")
     _emit(args, report, "\n".join(human_lines))
     return 0

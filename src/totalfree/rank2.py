@@ -11,6 +11,9 @@ axes: their divisibility conditions then simply delete unknowns, so only
 the remaining lines contribute matrix rows.  Exponents are invariant under
 the conjugation, and basis derivations are mapped back through the inverse
 change before being returned.
+
+Saito's criterion is evaluated in one place, ``saito_check``: its SaitoCheck
+record holds every membership, the determinant and its constant.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .arrangement import (
     Multiplicity,
     check_multiplicity,
     derivation,
-    is_member,
+    is_member_at,
     normalize_hyperplane,
 )
 from .errors import (
@@ -221,39 +224,55 @@ def rank2_basis(arr2: Arrangement, m: Multiplicity) -> tuple[Derivation, Derivat
         "no degree-d2 partner with nonzero determinant; contradicts rank-2 freeness")
 
 
-def saito_verify(arr: Arrangement, m: Multiplicity,
-                 thetas: tuple[Derivation, ...] | list[Derivation]) -> bool:
-    """Saito-style basis check for the logarithmic derivation module.
+@dataclass(frozen=True)
+class SaitoCheck:
+    """Saito's criterion evaluated on derivations theta_1..theta_l of (A, m).
 
-    True iff every derivation is a member and the determinant of their
-    coefficient matrix equals a nonzero constant times the product of the
-    defining forms raised to their multiplicities.
+    ``memberships[i][k]`` says whether theta_k sends alpha_{H_i} into
+    (alpha_{H_i}^{m_i}); ``det`` is the determinant of the coefficient
+    matrix; ``constant`` is the c != 0 with det = c * prod alpha_H^{m(H)},
+    or None when det is not of that form.
     """
+
+    memberships: tuple[tuple[bool, ...], ...]
+    det: HomPoly
+    constant: Fraction | None
+
+    @property
+    def verified(self) -> bool:
+        """True iff the derivations form a basis of D(A, m)."""
+        return self.constant is not None and all(map(all, self.memberships))
+
+
+def saito_check(arr: Arrangement, m: Multiplicity,
+                thetas: tuple[Derivation, ...] | list[Derivation]) -> SaitoCheck:
+    """Every membership, the determinant and its constant; see SaitoCheck."""
     if arr.dim < 1:
         raise DimensionMismatchError("Saito check needs ambient dimension >= 1")
     if len(thetas) != arr.dim:
         raise DimensionMismatchError(
             f"{len(thetas)} derivations for ambient dimension {arr.dim}")
-    for theta in thetas:
-        if theta.dim != arr.dim:
-            raise DimensionMismatchError("derivation arity mismatch")
+    if any(theta.dim != arr.dim for theta in thetas):
+        raise DimensionMismatchError("derivation arity mismatch")
     check_multiplicity(arr, m)
-    if not all(is_member(theta, arr, m) for theta in thetas):
-        return False
-    det = poly_det([[theta.components[j] for j in range(arr.dim)]
-                    for theta in thetas])
-    if det.is_zero():
-        return False
+    memberships = tuple(tuple(is_member_at(theta, h, mult) for theta in thetas)
+                        for h, mult in zip(arr.hyperplanes, m))
+    det = poly_det([theta.components for theta in thetas])
     target = HomPoly.constant(arr.dim, 1)
     for h, mult in zip(arr.hyperplanes, m):
         target = target * h.linear_form() ** mult
-    if det.degree != target.degree:
-        return False
+    # Homogeneity makes the probe lookup the degree check as well.
     probe = next(iter(target.coeffs))
-    c = det.coeffs.get(probe)
-    if c is None:
-        return False
-    return det == target.scale(c / target.coeffs[probe])
+    constant = det.coeffs.get(probe, 0) / target.coeffs[probe]
+    if constant == 0 or det != target.scale(constant):
+        constant = None
+    return SaitoCheck(memberships, det, constant)
+
+
+def saito_verify(arr: Arrangement, m: Multiplicity,
+                 thetas: tuple[Derivation, ...] | list[Derivation]) -> bool:
+    """True iff ``thetas`` is a basis of D(A, m) by Saito's criterion; see saito_check."""
+    return saito_check(arr, m, thetas).verified
 
 
 def exponents_totally_free(arr: Arrangement, m: Multiplicity) -> ExponentMultiset:

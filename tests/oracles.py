@@ -12,7 +12,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from totalfree.arrangement import check_multiplicity, is_member
+from totalfree.errors import DimensionMismatchError
 from totalfree.linalg import Matrix
+from totalfree.poly import HomPoly, poly_det
 
 
 def rank_rows(rows) -> int:
@@ -154,6 +157,43 @@ def substitution_divisible_by_power(f, alpha, m: int) -> bool:
     change = Matrix([[cols[c][i] for c in range(n)] for i in range(n)])
     g = f.substitute(change)
     return all(e[0] >= m for e in g.coeffs)
+
+
+def reference_saito_verify(arr, m, thetas) -> bool:
+    """Saito-style basis check for the logarithmic derivation module.
+
+    True iff every derivation is a member and the determinant of their
+    coefficient matrix equals a nonzero constant times the product of the
+    defining forms raised to their multiplicities.
+
+    The package's check before it became the ``SaitoCheck`` record, kept as
+    the reference for it.
+    """
+    if arr.dim < 1:
+        raise DimensionMismatchError("Saito check needs ambient dimension >= 1")
+    if len(thetas) != arr.dim:
+        raise DimensionMismatchError(
+            f"{len(thetas)} derivations for ambient dimension {arr.dim}")
+    for theta in thetas:
+        if theta.dim != arr.dim:
+            raise DimensionMismatchError("derivation arity mismatch")
+    check_multiplicity(arr, m)
+    if not all(is_member(theta, arr, m) for theta in thetas):
+        return False
+    det = poly_det([[theta.components[j] for j in range(arr.dim)]
+                    for theta in thetas])
+    if det.is_zero():
+        return False
+    target = HomPoly.constant(arr.dim, 1)
+    for h, mult in zip(arr.hyperplanes, m):
+        target = target * h.linear_form() ** mult
+    if det.degree != target.degree:
+        return False
+    probe = next(iter(target.coeffs))
+    c = det.coeffs.get(probe)
+    if c is None:
+        return False
+    return det == target.scale(c / target.coeffs[probe])
 
 
 def brute_rank2_flats(normals) -> list[tuple[int, ...]]:

@@ -2,10 +2,11 @@
 
 ``tests/golden/cases.json`` lists every case: its id, its input file, the
 CLI arguments that precede ``-i <input> --json`` (``{mult}`` stands for the
-multiplicity 1,2,3,1,2,3,... of the input's length) and the exit code.  The
-expected stdout of case ``id`` is ``tests/golden/<id>.out``.  The files
-pin outputs that must not change when the implementation does; regenerate
-them only when a report's meaning changes on purpose, and record why::
+multiplicity 1,2,3,1,2,3,... of the input's length, ``{golden}`` for this
+directory) and the exit code.  The expected stdout of case ``id`` is
+``tests/golden/<id>.out``.  The files pin outputs that must not change when
+the implementation does; regenerate them only when a report's meaning
+changes on purpose, and record why::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -53,6 +54,27 @@ hyperplane 1 0 -7/4
 hyperplane 1/3 1/3 1/3 mult 2
 """
 
+# saito-verify bases: input name -> basis name -> derivations, each given by
+# its components.  boolean2 is the axes.  Every basis also runs under
+# --mult, where "accepted-under-mult" is a basis and "accepted" is not.
+SAITO_BASES = {
+    "boolean2": {
+        "accepted": [["x1", "0"], ["0", "x2"]],
+        "zero-det": [["x1", "0"], ["x1", "0"]],
+        "non-member": [["x2", "0"], ["0", "x1"]],
+        "too-high": [["x1^2", "0"], ["0", "x2^2"]],
+        "accepted-under-mult": [["x1", "0"], ["0", "x2^2"]],
+    },
+    "three-lines": {
+        "accepted": [["x1", "x2"], ["x1^2", "x2^2"]],
+        "zero-det": [["x1", "x2"], ["x1", "x2"]],
+        "non-member": [["x1", "0"], ["0", "x2"]],
+        "too-high": [["x1^2", "x1*x2"], ["x1^2", "x2^2"]],
+        "accepted-under-mult": [["x1^3 - 3*x1^2*x2 + 3*x1*x2^2", "x2^3"],
+                                ["x1^3 - 3*x1^2*x2 + 2*x1*x2^2", "-x1*x2^2 + x2^3"]],
+    },
+}
+
 COMMANDS = {
     "analyze": ["analyze"],
     "totally-free": ["totally-free"],
@@ -87,6 +109,23 @@ def corpus() -> dict[str, str]:
     return texts
 
 
+def _basis_text(thetas: list[list[str]]) -> str:
+    return "".join("derivation\n" + "".join(f"component {i}: {c}\n"
+                                            for i, c in enumerate(comps, 1) if c != "0")
+                   for comps in thetas)
+
+
+def saito_cases() -> list[tuple[str, str, list[str]]]:
+    """(case id, input name, argv template) of every saito-verify case."""
+    cases = []
+    for name, bases in SAITO_BASES.items():
+        for basis in bases:
+            argv = ["saito-verify", "--basis", f"{{golden}}/{name}.{basis}.basis"]
+            cases.append((f"{name}.saito-{basis}", name, argv))
+            cases.append((f"{name}.saito-{basis}-mult", name, argv + ["--mult", "{mult}"]))
+    return cases
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -97,27 +136,34 @@ def _run(argv: list[str]) -> tuple[int, str]:
 def _argv(template: list[str], path: Path) -> list[str]:
     n = parse_arrangement(path.read_text())[0].n
     mult = ",".join(str(1 + i % 3) for i in range(n))
-    return [a.replace("{mult}", mult) for a in template] + ["-i", str(path), "--json"]
+    return ([a.replace("{mult}", mult).replace("{golden}", str(GOLDEN)) for a in template]
+            + ["-i", str(path), "--json"])
 
 
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
+    texts = corpus()
+    texts["three-lines"] = format_arrangement(THREE_LINES)
+    for name, text in texts.items():
+        (GOLDEN / f"{name}.arr").write_text(text)
+    for name, bases in SAITO_BASES.items():
+        for basis, thetas in bases.items():
+            (GOLDEN / f"{name}.{basis}.basis").write_text(_basis_text(thetas))
+    runs = [(f"{name}.{variant}", name, template)
+            for name in corpus() for variant, template in COMMANDS.items()]
     cases = []
-    for name, text in corpus().items():
+    for case_id, name, template in runs + saito_cases():
         path = GOLDEN / f"{name}.arr"
-        path.write_text(text)
-        for variant, template in COMMANDS.items():
-            case_id = f"{name}.{variant}"
-            code, out = _run(_argv(template, path))
-            (GOLDEN / f"{case_id}.out").write_text(out)
-            cases.append({"id": case_id, "input": path.name, "argv": template,
-                          "exit": code})
+        code, out = _run(_argv(template, path))
+        (GOLDEN / f"{case_id}.out").write_text(out)
+        cases.append({"id": case_id, "input": path.name, "argv": template,
+                      "exit": code})
     (GOLDEN / "cases.json").write_text(json.dumps(cases, indent=1) + "\n")
 
 
 def test_cli_outputs_match_golden():
     cases = json.loads((GOLDEN / "cases.json").read_text())
-    assert len(cases) == len(corpus()) * len(COMMANDS)
+    assert len(cases) == len(corpus()) * len(COMMANDS) + len(saito_cases())
     mismatched = []
     for case in cases:
         code, out = _run(_argv(case["argv"], GOLDEN / case["input"]))

@@ -1,7 +1,9 @@
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totalfree import (
     DimensionMismatchError,
@@ -14,12 +16,16 @@ from totalfree import (
     exponents_totally_free,
     generic_arrangement,
     is_member,
+    lmp2,
+    normalize_hyperplane,
     product,
     rank2_basis,
     rank2_exponents,
+    saito_check,
     saito_verify,
 )
 from totalfree.poly import HomPoly, poly_det
+from oracles import reference_saito_verify, substitution_divisible_by_power
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 AXES = arrangement(2, [(1, 0), (0, 1)])
@@ -117,6 +123,85 @@ def test_saito_rejects_nonmember_with_right_determinant():
 def test_saito_dimension_checks():
     with pytest.raises(DimensionMismatchError):
         saito_verify(AXES, (1, 1), (euler_derivation(2),))
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 1.5, 2.0, True], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda m: rank2_exponents(THREE_LINES, m),
+    lambda m: lmp2(THREE_LINES, m),
+    lambda m: is_member(euler_derivation(2), THREE_LINES, m),
+    lambda m: saito_verify(THREE_LINES, m,
+                           (euler_derivation(2), derivation([_sq(0), _sq(1)]))),
+], ids=["rank2_exponents", "lmp2", "is_member", "saito_verify"])
+def test_non_integer_multiplicity_rejected(call, bad):
+    with pytest.raises(ValueError, match="positive integers"):
+        call((bad, 1, 1))
+
+
+def _power_dx(dim, j, e):
+    """x_j^e d_j."""
+    comps = [HomPoly.zero(dim)] * dim
+    comps[j] = HomPoly.monomial(dim, [e if i == j else 0 for i in range(dim)])
+    return derivation(comps)
+
+
+def _variant(thetas, m, kind, k, j):
+    """A basis or a broken one: the same derivations under another twist."""
+    dim = len(thetas)
+    if kind == "bumped":
+        return thetas, tuple(v + (i == k % len(m)) for i, v in enumerate(m))
+    k %= dim
+    if kind == "repeated":
+        return (thetas[k],) * dim, m
+    comps = [list(t.components) for t in thetas]
+    if kind == "times-variable":
+        comps[k] = [c * HomPoly.variable(dim, j) for c in comps[k]]
+    elif kind == "swapped":  # reversed components: det changes sign only
+        comps = [c[::-1] for c in comps]
+    elif kind == "plus-swap":  # det of the right degree, usually not c * target
+        comps[k] = [a + b for a, b in zip(comps[k], comps[k][::-1])]
+    return tuple(derivation(c) for c in comps), m
+
+
+@st.composite
+def saito_inputs(draw):
+    """(arr, m, thetas): rank2_basis outputs on random rank-2 arrangements, or
+    x_i^m_i d_i on the boolean arrangement in dim 3, each under a variant."""
+    if draw(st.integers(0, 4)) == 0:
+        arr = boolean_arrangement(3)
+        m = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+        thetas = tuple(_power_dx(3, j, m[j]) for j in range(3))
+    else:
+        rows = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+                             min_size=2, max_size=5)
+                    .filter(lambda rs: len({normalize_hyperplane(r) for r in rs}) >= 2))
+        arr = arrangement(2, dict.fromkeys(normalize_hyperplane(r).normal for r in rows))
+        m = tuple(draw(st.lists(st.integers(1, 3), min_size=arr.n, max_size=arr.n)))
+        thetas = rank2_basis(arr, m)
+    kind = draw(st.sampled_from(
+        ["basis", "bumped", "repeated", "times-variable", "swapped", "plus-swap"]))
+    k, j = draw(st.integers(0, 4)), draw(st.integers(0, arr.dim - 1))
+    thetas, m = _variant(thetas, m, kind, k, j)
+    return arr, m, thetas
+
+
+@settings(max_examples=150)
+@given(saito_inputs())
+def test_saito_record_matches_reference(case):
+    arr, m, thetas = case
+    check = saito_check(arr, m, thetas)
+    assert check.verified == reference_saito_verify(arr, m, thetas)
+    assert saito_verify(arr, m, thetas) == check.verified
+    assert check.det == poly_det([t.components for t in thetas])
+    assert len(check.memberships) == arr.n
+    for h, mult, row in zip(arr.hyperplanes, m, check.memberships):
+        assert list(row) == [substitution_divisible_by_power(
+            t.apply_to(h.normal), h.linear_form(), mult) for t in thetas]
+    if check.constant is not None:
+        target = HomPoly.constant(arr.dim, 1)
+        for h, mult in zip(arr.hyperplanes, m):
+            target = target * h.linear_form() ** mult
+        assert check.constant != 0 and check.det == target.scale(check.constant)
 
 
 # -- seeded sweep ------------------------------------------------------------
