@@ -77,10 +77,15 @@ class Arrangement:
             if h.dim != self.dim:
                 raise DimensionMismatchError(
                     f"hyperplane {i} has dimension {h.dim}, expected {self.dim}")
-            if h.normal in seen:
+            # Proportional normals are one hyperplane, however they are written;
+            # a canonical normal (primitive, first nonzero > 0) is its own key.
+            key = h.normal
+            if math.gcd(*key) != 1 or next(c for c in key if c) < 0:
+                key = normalize_hyperplane(key).normal
+            if key in seen:
                 raise DuplicateHyperplaneError(
-                    f"hyperplane {i} duplicates hyperplane {seen[h.normal]}")
-            seen[h.normal] = i
+                    f"hyperplane {i} duplicates hyperplane {seen[key]}")
+            seen[key] = i
 
     @property
     def n(self) -> int:

@@ -69,15 +69,18 @@ def gmp2_from_exponents(exponents: tuple[int, ...]) -> int:
 def gmp2_max(rank: int, total: int) -> int:
     """Exact maximum of e2 over nonnegative integer rank-tuples summing to total.
 
-    Attained at the balanced partition, which minimizes the sum of squares.
+    For every integer d, (d - q)(d - q - 1) >= 0.  Summed over d_1..d_r with
+    sum s and q = s // r: sum d_i^2 >= (2q + 1) s - r q (q + 1), with
+    equality at the balanced partition (every d_i is q or q + 1).  So the
+    maximum of e2 = (s^2 - sum d_i^2) / 2 is the value returned, in O(1);
+    its numerator is even, as s (s - 2q - 1) and q (q + 1) are.
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if total < 0:
         raise ValueError("total must be nonnegative")
-    q, r = divmod(total, rank)
-    parts = (q + 1,) * r + (q,) * (rank - r)
-    return gmp2_from_exponents(parts)
+    q = total // rank
+    return (total * total - (2 * q + 1) * total + rank * q * (q + 1)) // 2
 
 
 def gmp2_real_bound(rank: int, total: int) -> Fraction:
@@ -468,10 +471,9 @@ def decide_totally_free(arr: Arrangement) -> Verdict:
 def _emission_recheck(cert: NonFreenessCertificate) -> None:
     """From-scratch sanity pass before a certificate leaves the module.
 
-    The GMP2 bound is compared with ``gmp2_max`` in O(rank).  That the
-    balanced partition is the maximum is not proven here: the tests compare
-    ``gmp2_max`` with ``gmp2_max_exhaustive`` at ranks 1..7, and
-    ``verify_certificate`` runs the exhaustive search within its limit.
+    The GMP2 bound is compared with ``gmp2_max``, whose docstring proves
+    it, in O(1) at every rank; the tests also compare it with
+    ``gmp2_max_exhaustive`` at ranks 1..7.
     """
     if cert.lmp2_lower <= cert.gmp2_upper:
         raise InternalInvariantError("emission recheck: inequality fails")
@@ -489,8 +491,9 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
 
     LMP2 is rebuilt flat by flat from actual basis derivations (each pair
     checked by saito_verify inside rank2_basis), and the GMP2 maximum is
-    re-derived by exhaustive partition search when feasible.  Indices must
-    be distinct and in range, multiplicities one positive int per hyperplane.
+    checked against ``gmp2_max``, an O(1) closed form with its proof.
+    Indices must be distinct and in range, multiplicities one positive int
+    per hyperplane, the rank >= 1.
     """
     indices = cert.explanation.factor_indices
     try:
@@ -501,7 +504,7 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
         return False
     sub = subarrangement(arr, indices)
     m_sub = tuple(cert.multiplicity[i] for i in indices)
-    if sum(m_sub) != cert.total_multiplicity or sub.rank() != cert.rank:
+    if sum(m_sub) != cert.total_multiplicity or sub.rank() != cert.rank or cert.rank < 1:
         return False
     recomputed = 0
     for flat in rank2_flats(sub):
@@ -512,8 +515,7 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
         return False
     if recomputed < cert.lmp2_lower:
         return False
-    exhaustive = gmp2_max_exhaustive(cert.rank, cert.total_multiplicity)
-    upper = exhaustive if exhaustive is not None else gmp2_max(cert.rank, cert.total_multiplicity)
+    upper = gmp2_max(cert.rank, cert.total_multiplicity)
     if upper != cert.gmp2_upper:
         return False
     return recomputed > upper

@@ -3,9 +3,9 @@
 A polynomial is a map from exponent tuples (one entry per variable, entries
 summing to the degree) to nonzero ``Fraction`` coefficients.  The zero
 polynomial is the empty map with the conventional degree marker -1.
-Everything an arrangement needs reduces to three exact primitives: ring
-arithmetic, linear changes of variables, and the power-divisibility test
-``alpha^m | f``, made by ``m`` rounds of exact integer division by ``alpha``.
+Everything an arrangement needs reduces to two exact primitives: ring
+arithmetic and the power-divisibility test ``alpha^m | f``, made by ``m``
+rounds of exact integer division by ``alpha``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Scalar, _frac
+from .linalg import Scalar, _frac
 
 Exponent = tuple[int, ...]
 
@@ -168,38 +168,6 @@ class HomPoly:
                 v *= x ** k
             total += v
         return total
-
-    def substitute(self, change: Matrix) -> HomPoly:
-        """Apply the linear change of variables ``x_i = sum_j change[i][j] * y_j``.
-
-        ``change`` has one row per old variable; the number of columns is the
-        number of new variables.
-        """
-        if change.rows != self.num_vars:
-            raise ValueError("substitution matrix has wrong number of rows")
-        new_vars = change.cols
-        if self.is_zero():
-            return HomPoly.zero(new_vars)
-        images = [HomPoly.linear(change.row(i)) for i in range(self.num_vars)]
-        # Cache powers of each image; exponents repeat heavily across terms.
-        powers: list[dict[int, HomPoly]] = [{} for _ in range(self.num_vars)]
-
-        def image_power(i: int, k: int) -> HomPoly:
-            if k not in powers[i]:
-                powers[i][k] = images[i] ** k
-            return powers[i][k]
-
-        result = HomPoly.zero(new_vars)
-        for e, c in self.coeffs.items():
-            term = HomPoly.constant(new_vars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * image_power(i, k)
-            if result.is_zero():
-                result = term
-            else:
-                result = result + term
-        return result
 
 
 def divisible_by_power(f: HomPoly, alpha: HomPoly, m: int) -> bool:

@@ -9,8 +9,8 @@ divisibility conditions expressed through a linear change of variables.
 The search runs in conjugated coordinates where the first two lines are the
 axes: their divisibility conditions then simply delete unknowns, so only
 the remaining lines contribute matrix rows.  Exponents are invariant under
-the conjugation, and basis derivations are mapped back through the inverse
-change before being returned.
+the conjugation.  Basis derivations go back to the input coordinates by an
+integer transform with adj(C) and one exact division (``_to_original``).
 
 Saito's criterion is evaluated in one place, ``saito_check``: its SaitoCheck
 record holds every membership, the determinant and its constant.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .arrangement import (
     Arrangement,
@@ -41,9 +41,10 @@ from .errors import (
 )
 from .linalg import Matrix
 from .matroid import decompose
-from .poly import HomPoly, poly_det
+from .poly import HomPoly, divisible_by_power, poly_det
 
 ExponentMultiset = tuple[int, ...]
+Conjugation = tuple[tuple[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,17 @@ class ExponentPair:
         return (self.d1, self.d2)
 
 
-def _conjugation(n0: IntVector, n1: IntVector) -> Matrix:
-    """2x2 change with line 0 mapped to the x-axis and line 1 to the y-axis.
+def _conjugation(n0: IntVector, n1: IntVector) -> Conjugation:
+    """2x2 integer change with line 0 mapped to the x-axis and line 1 to the y-axis.
 
     Columns are kernel vectors of the two normals; independence of the lines
     makes it invertible.
     """
-    return Matrix([[n1[1], n0[1]], [-n1[0], -n0[0]]])
+    return ((n1[1], n0[1]), (-n1[0], -n0[0]))
 
 
 def _transformed_lines(arr2: Arrangement, m: Multiplicity
-                       ) -> tuple[list[tuple[int, int]], list[int], Matrix]:
+                       ) -> tuple[list[tuple[int, int]], list[int], Conjugation]:
     # Send the two highest-multiplicity lines to the axes: their conditions
     # consume the most unknowns, which keeps the linear systems small.
     order = sorted(range(arr2.n), key=lambda i: (-m[i], i))
@@ -84,7 +85,7 @@ def _transformed_lines(arr2: Arrangement, m: Multiplicity
     change = _conjugation(normals[0], normals[1])
     lines = []
     for normal in normals:
-        image = [sum(normal[i] * change.entries[i][j] for i in range(2))
+        image = [sum(normal[i] * change[i][j] for i in range(2))
                  for j in range(2)]
         lines.append(normalize_hyperplane(image).normal)
     if lines[0] != (1, 0) or lines[1] != (0, 1):
@@ -178,19 +179,40 @@ def _kernel_derivations(lines: list[tuple[int, int]], ms: list[int], d: int
     return out
 
 
-def _to_original(pair: tuple[HomPoly, HomPoly], change: Matrix) -> Derivation:
-    """Transport a derivation from conjugated coordinates back to the input ones."""
-    inverse = change.inverse()
-    composed = [comp.substitute(inverse) for comp in pair]
-    comps = []
-    for i in range(2):
-        acc = HomPoly.zero(2)
-        for j in range(2):
-            c = change.entries[i][j]
-            if c != 0 and not composed[j].is_zero():
-                acc = acc + composed[j].scale(c)
-        comps.append(acc)
-    return derivation(comps)
+def _times_linear(coeffs: list[int], form: tuple[int, int]) -> list[int]:
+    """Binary form times a*x + b*y; index k holds the coefficient of x^k."""
+    a, b = form
+    return [a * shifted + b * kept for shifted, kept in zip([0] + coeffs, coeffs + [0])]
+
+
+def _to_original(pair: tuple[HomPoly, HomPoly], change: Conjugation) -> Derivation:
+    """Transport a derivation from conjugated coordinates (x = C u) back to the input ones.
+
+    Component i is sum_j C[i][j] p_j(adj(C) x / D), D = det C.  The forms are
+    cleared of denominators (lcm L), composed with the integer rows of adj(C)
+    by Horner's rule in u/v in O(d^2), combined by C and divided once by L * D^d.
+    """
+    (c00, c01), (c10, c11) = change
+    u, v = (c11, -c01), (-c10, c00)
+    d = max(comp.degree for comp in pair)
+    den = lcm(*(c.denominator for comp in pair for c in comp.coeffs.values()))
+    v_powers = [[1]]
+    for _ in range(d):
+        v_powers.append(_times_linear(v_powers[-1], v))
+    composed = []
+    for comp in pair:
+        c = [0] * (d + 1)
+        for (k, _), value in comp.coeffs.items():
+            c[k] = value.numerator * (den // value.denominator)
+        acc = [c[d]]
+        for k in range(d - 1, -1, -1):
+            acc = [a + c[k] * w for a, w in zip(_times_linear(acc, u), v_powers[d - k])]
+        composed.append(acc)
+    scale = den * (c00 * c11 - c01 * c10) ** d
+    return derivation([
+        HomPoly.from_terms(2, {(k, d - k): Fraction(r0 * p + r1 * q, scale)
+                               for k, (p, q) in enumerate(zip(*composed))})
+        for r0, r1 in change])
 
 
 def rank2_basis(arr2: Arrangement, m: Multiplicity) -> tuple[Derivation, Derivation]:
@@ -230,8 +252,9 @@ class SaitoCheck:
 
     ``memberships[i][k]`` says whether theta_k sends alpha_{H_i} into
     (alpha_{H_i}^{m_i}); ``det`` is the determinant of the coefficient
-    matrix; ``constant`` is the c != 0 with det = c * prod alpha_H^{m(H)},
-    or None when det is not of that form.
+    matrix; ``constant`` is the c != 0 with det = c * Q, Q = prod
+    alpha_H^{m(H)}, or None when det is not of that form (Saito's
+    criterion: Saito 1980; Ziegler 1989 for multiarrangements).
     """
 
     memberships: tuple[tuple[bool, ...], ...]
@@ -246,7 +269,16 @@ class SaitoCheck:
 
 def saito_check(arr: Arrangement, m: Multiplicity,
                 thetas: tuple[Derivation, ...] | list[Derivation]) -> SaitoCheck:
-    """Every membership, the determinant and its constant; see SaitoCheck."""
+    """Every membership, the determinant and its constant; see SaitoCheck.
+
+    Q is never built.  Distinct hyperplanes (Arrangement rejects proportional
+    normals) give pairwise coprime forms, so det = c * Q, c != 0, iff
+    deg det = |m| and alpha_H^{m(H)} | det for all H.  If every membership
+    holds, Saito's lemma gives Q | det (the column of values on alpha_H is
+    divisible by alpha_H^{m(H)}); only otherwise is the divisibility
+    tested.  Leading terms multiply, so c is det's coefficient at Q's
+    lex-leading exponent over prod lead(alpha_H)^{m(H)}.
+    """
     if arr.dim < 1:
         raise DimensionMismatchError("Saito check needs ambient dimension >= 1")
     if len(thetas) != arr.dim:
@@ -258,14 +290,16 @@ def saito_check(arr: Arrangement, m: Multiplicity,
     memberships = tuple(tuple(is_member_at(theta, h, mult) for theta in thetas)
                         for h, mult in zip(arr.hyperplanes, m))
     det = poly_det([theta.components for theta in thetas])
-    target = HomPoly.constant(arr.dim, 1)
-    for h, mult in zip(arr.hyperplanes, m):
-        target = target * h.linear_form() ** mult
-    # Homogeneity makes the probe lookup the degree check as well.
-    probe = next(iter(target.coeffs))
-    constant = det.coeffs.get(probe, 0) / target.coeffs[probe]
-    if constant == 0 or det != target.scale(constant):
-        constant = None
+    constant = None
+    if det.degree == sum(m) and (all(map(all, memberships)) or all(
+            divisible_by_power(det, h.linear_form(), mult)
+            for h, mult in zip(arr.hyperplanes, m))):
+        lead, scale = [0] * arr.dim, 1
+        for h, mult in zip(arr.hyperplanes, m):
+            i = next(i for i, c in enumerate(h.normal) if c)
+            lead[i] += mult
+            scale *= h.normal[i] ** mult
+        constant = det.coeffs[tuple(lead)] / scale
     return SaitoCheck(memberships, det, constant)
 
 

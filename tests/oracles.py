@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from totalfree.arrangement import check_multiplicity, is_member
+from totalfree.arrangement import check_multiplicity, derivation, is_member
 from totalfree.errors import DimensionMismatchError
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
@@ -120,6 +120,61 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def substitute(f, change):
+    """Apply the linear change of variables ``x_i = sum_j change[i][j] * y_j``.
+
+    ``change`` is a Matrix with one row per old variable; the number of
+    columns is the number of new variables.
+
+    The package's ``HomPoly.substitute`` before changes of coordinates went
+    to integer coefficient lists, kept as the reference for them.
+    """
+    if change.rows != f.num_vars:
+        raise ValueError("substitution matrix has wrong number of rows")
+    new_vars = change.cols
+    if f.is_zero():
+        return HomPoly.zero(new_vars)
+    images = [HomPoly.linear(change.row(i)) for i in range(f.num_vars)]
+    # Cache powers of each image; exponents repeat heavily across terms.
+    powers: list[dict[int, HomPoly]] = [{} for _ in range(f.num_vars)]
+
+    def image_power(i: int, k: int) -> HomPoly:
+        if k not in powers[i]:
+            powers[i][k] = images[i] ** k
+        return powers[i][k]
+
+    result = HomPoly.zero(new_vars)
+    for e, c in f.coeffs.items():
+        term = HomPoly.constant(new_vars, c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * image_power(i, k)
+        if result.is_zero():
+            result = term
+        else:
+            result = result + term
+    return result
+
+
+def substitution_to_original(pair, change):
+    """Transport a rank-2 derivation from conjugated coordinates back to the input ones.
+
+    ``change`` is the Matrix C with x = C u.  The package's ``_to_original``
+    before it became an integer transform, kept as the reference for it.
+    """
+    inverse = change.inverse()
+    composed = [substitute(comp, inverse) for comp in pair]
+    comps = []
+    for i in range(2):
+        acc = HomPoly.zero(2)
+        for j in range(2):
+            c = change.entries[i][j]
+            if c != 0 and not composed[j].is_zero():
+                acc = acc + composed[j].scale(c)
+        comps.append(acc)
+    return derivation(comps)
+
+
 def substitution_divisible_by_power(f, alpha, m: int) -> bool:
     """Exact test of ``alpha^m | f`` for a nonzero linear form ``alpha``.
 
@@ -155,8 +210,16 @@ def substitution_divisible_by_power(f, alpha, m: int) -> bool:
         w[p] = -a[j]
         cols.append(w)
     change = Matrix([[cols[c][i] for c in range(n)] for i in range(n)])
-    g = f.substitute(change)
+    g = substitute(f, change)
     return all(e[0] >= m for e in g.coeffs)
+
+
+def target_product(arr, m):
+    """Saito's target Q = prod alpha_H^{m(H)}, expanded term by term."""
+    target = HomPoly.constant(arr.dim, 1)
+    for h, mult in zip(arr.hyperplanes, m):
+        target = target * h.linear_form() ** mult
+    return target
 
 
 def reference_saito_verify(arr, m, thetas) -> bool:
@@ -184,9 +247,7 @@ def reference_saito_verify(arr, m, thetas) -> bool:
                     for theta in thetas])
     if det.is_zero():
         return False
-    target = HomPoly.constant(arr.dim, 1)
-    for h, mult in zip(arr.hyperplanes, m):
-        target = target * h.linear_form() ** mult
+    target = target_product(arr, m)
     if det.degree != target.degree:
         return False
     probe = next(iter(target.coeffs))

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totalfree import (
+    Arrangement,
     DimensionMismatchError,
     DuplicateHyperplaneError,
+    Hyperplane,
     MalformedFlatError,
     ParseError,
     arrangement,
@@ -75,6 +77,9 @@ def test_normalize_rejects_zero():
 def test_duplicates_rejected():
     with pytest.raises(DuplicateHyperplaneError):
         arrangement(2, [(1, 0), (-2, 0)])
+    # Built directly, proportional normals are still one hyperplane.
+    with pytest.raises(DuplicateHyperplaneError):
+        Arrangement(2, (Hyperplane((1, 0)), Hyperplane((-1, 0)), Hyperplane((0, 1))))
 
 
 # -- essentialization --------------------------------------------------------

@@ -395,14 +395,28 @@ def _moved(cert, amount):
     lambda c: _moved(c, c.multiplicity[0]),
     lambda c: _moved(c, c.multiplicity[0] + 1),
     lambda c: _moved(c, Fraction(1, 2)),
+    lambda c: dataclasses.replace(_with_indices(c, ()), rank=0, total_multiplicity=0,
+                                  lmp2_lower=0, gmp2_upper=-1),
 ], ids=["index-out-of-range", "negative-index", "repeated-index", "short-multiplicity",
         "long-multiplicity", "zero-multiplicity", "negative-multiplicity",
-        "fractional-multiplicity"])
+        "fractional-multiplicity", "rank-zero"])
 def test_verify_rejects_malformed_certificate(tamper):
     arr = braid_arrangement(4)
     cert = decide_totally_free(arr).witness.certificate
     assert verify_certificate(arr, cert) is True
     assert verify_certificate(arr, tamper(cert)) is False
+
+
+def test_verify_rejects_shifted_gmp2_upper_at_rank_5():
+    # Braid dim 6 has rank 5, past the reach of the exhaustive partition search.
+    arr = braid_arrangement(6)
+    cert = nonfree_by_lmp_gmp(arr, decide_totally_free(arr).witness.certificate.multiplicity)
+    assert verify_certificate(arr, cert) is True
+    shifts = [s for s in (-1, 1) if cert.lmp2_lower > cert.gmp2_upper + s]
+    assert shifts == [-1, 1]
+    for shift in shifts:
+        shifted = dataclasses.replace(cert, gmp2_upper=cert.gmp2_upper + shift)
+        assert verify_certificate(arr, shifted) is False
 
 
 def test_certificate_inequality_enforced_at_construction():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, divisible_by_power, parse_poly, poly_det, poly_to_str
-from oracles import substitution_divisible_by_power
+from oracles import substitute, substitution_divisible_by_power
 
 
 def _p(num_vars, terms):
@@ -151,7 +151,7 @@ def test_substitute_commutes_with_evaluation(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     f = _random_hompoly(rng, 2, rng.randint(1, 3))
     change = Matrix([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
-    g = f.substitute(change)
+    g = substitute(f, change)
     pt = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
     assert g.evaluate(pt) == f.evaluate(change.apply(pt))
 

@@ -3,10 +3,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from totalfree import (
+    Arrangement,
     DimensionMismatchError,
+    Hyperplane,
     NotTotallyFreeError,
     arrangement,
     boolean_arrangement,
@@ -24,8 +26,15 @@ from totalfree import (
     saito_check,
     saito_verify,
 )
+from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
-from oracles import reference_saito_verify, substitution_divisible_by_power
+from totalfree.rank2 import _to_original
+from oracles import (
+    reference_saito_verify,
+    substitution_divisible_by_power,
+    substitution_to_original,
+    target_product,
+)
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 AXES = arrangement(2, [(1, 0), (0, 1)])
@@ -117,7 +126,18 @@ def test_saito_rejects_nonmember_with_right_determinant():
     x_dx = derivation([HomPoly.variable(2, 0), HomPoly.zero(2)])
     xy_dy = derivation([HomPoly.zero(2), HomPoly.monomial(2, (1, 1))])
     assert not saito_verify(AXES, (2, 1), (x_dx, xy_dy))
+    # A failed membership leaves the constant to the divisibility test.
+    check = saito_check(AXES, (2, 1), (x_dx, xy_dy))
+    assert check.memberships == ((False, True), (True, True)) and check.constant == 1
     assert saito_verify(AXES, (1, 2), (x_dx, derivation([HomPoly.zero(2), _sq(1)])))
+
+
+def test_saito_constant_with_unnormalized_normals():
+    # Q = (-2x) * y, so det = x*y is Q times -1/2.
+    arr = Arrangement(2, (Hyperplane((-2, 0)), Hyperplane((0, 1))))
+    x_dx = derivation([HomPoly.variable(2, 0), HomPoly.zero(2)])
+    y_dy = derivation([HomPoly.zero(2), HomPoly.variable(2, 1)])
+    assert saito_check(arr, (1, 1), (x_dx, y_dy)).constant == Fraction(-1, 2)
 
 
 def test_saito_dimension_checks():
@@ -197,11 +217,42 @@ def test_saito_record_matches_reference(case):
     for h, mult, row in zip(arr.hyperplanes, m, check.memberships):
         assert list(row) == [substitution_divisible_by_power(
             t.apply_to(h.normal), h.linear_form(), mult) for t in thetas]
-    if check.constant is not None:
-        target = HomPoly.constant(arr.dim, 1)
-        for h, mult in zip(arr.hyperplanes, m):
-            target = target * h.linear_form() ** mult
-        assert check.constant != 0 and check.det == target.scale(check.constant)
+    target = target_product(arr, m)
+    probe = next(iter(target.coeffs))
+    c = check.det.coeffs.get(probe, 0) / target.coeffs[probe]
+    assert check.constant == (c if c != 0 and check.det == target.scale(c) else None)
+
+
+@st.composite
+def conjugated_pairs(draw):
+    """(pair, C): binary forms of degree 0..12 with Fraction coefficients, one
+    of them possibly zero, and an integer C with |det C| in {1, 2, 3, 6}."""
+    size = draw(st.sampled_from([1, 2, 3, 6]))
+    j, s, t = (draw(st.integers(-3, 3)) for _ in range(3))
+    sign = draw(st.sampled_from([1, -1]))
+    # [[1, 0], [s, 1]] @ [[size, j], [0, sign]] @ [[1, t], [0, 1]]: det = sign * size
+    change = [[size, size * t + j], [s * size, s * (size * t + j) + sign]]
+    if draw(st.booleans()):
+        change = change[::-1]
+    if draw(st.booleans()):
+        change = [row[::-1] for row in change]
+    d = draw(st.integers(0, 12))
+    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    comps = [draw(st.lists(coeff, min_size=d + 1, max_size=d + 1)) for _ in range(2)]
+    zero = draw(st.sampled_from([None, 0, 1]))
+    if zero is not None:
+        comps[zero] = [0] * (d + 1)
+    pair = tuple(HomPoly.from_terms(2, {(k, d - k): c for k, c in enumerate(cs)})
+                 for cs in comps)
+    assume(not all(p.is_zero() for p in pair))
+    return pair, tuple(map(tuple, change))
+
+
+@settings(max_examples=200)
+@given(conjugated_pairs())
+def test_to_original_matches_substitution(case):
+    pair, change = case
+    assert _to_original(pair, change) == substitution_to_original(pair, Matrix(change))
 
 
 # -- seeded sweep ------------------------------------------------------------
