@@ -30,7 +30,6 @@ from .arrangement import (
     rank2_flats,
     restriction,
     subarrangement,
-    uniform_multiplicity,
 )
 from .certificates import (
     CircuitCheck,
@@ -70,7 +69,6 @@ from .matroid import (
     connected_components,
     decompose,
     is_irreducible,
-    reassemble_normals,
 )
 from .poly import HomPoly, divisible_by_power, parse_poly, poly_det, poly_to_str
 from .rank2 import (

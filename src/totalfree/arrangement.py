@@ -28,7 +28,7 @@ from .errors import (
     MalformedFlatError,
     ParseError,
 )
-from .linalg import Matrix, Scalar, _eliminate, _frac
+from .linalg import Scalar, _eliminate, _frac
 from .poly import HomPoly, divisible_by_power
 
 IntVector = tuple[int, ...]
@@ -94,11 +94,6 @@ class Arrangement:
     def normals(self) -> list[IntVector]:
         return [h.normal for h in self.hyperplanes]
 
-    def normal_matrix(self) -> Matrix:
-        if not self.hyperplanes:
-            return Matrix.zero(0, self.dim)
-        return Matrix(self.normals())
-
     def rank(self) -> int:
         return len(_eliminate(self.normals(), self.dim, reduce=False)[1])
 
@@ -110,10 +105,6 @@ class Arrangement:
 def arrangement(dim: int, rows: Iterable[Sequence[Scalar]]) -> Arrangement:
     """Build an arrangement from raw covectors, normalizing each."""
     return Arrangement(dim, tuple(normalize_hyperplane(r) for r in rows))
-
-
-def uniform_multiplicity(n: int, value: int = 1) -> Multiplicity:
-    return (value,) * n
 
 
 def check_multiplicity(arr: Arrangement, m: Multiplicity) -> None:
@@ -191,37 +182,18 @@ def is_member(theta: Derivation, arr: Arrangement, m: Multiplicity) -> bool:
 # -- structural operations -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Essentialization:
-    """Result of projecting an arrangement onto the span of its normals.
+def essentialize(arr: Arrangement) -> Arrangement:
+    """The arrangement in the coordinates of the span of its normals.
 
-    ``new_to_old`` maps points of the essential space back into the original
-    coordinates; composing the new normals with it recovers the old ones.
+    The pivot columns of an echelon form of the normals are coordinates on
+    which the span projects isomorphically, so restricting every normal to
+    them is an injective linear map: the result is essential, keeps the
+    hyperplane order and distinctness, and has dimension the rank.  The
+    ``arr.dim - rank`` dropped coordinates are the trivial directions.
     """
-
-    arrangement: Arrangement
-    new_to_old: Matrix          # dim x rank section
-    old_to_new: Matrix          # rank x dim; rows span the normals' row space
-    trivial_directions: int
-
-
-def essentialize(arr: Arrangement) -> Essentialization:
-    """Rewrite the normals in a basis of their span.
-
-    The basis rows come from the reduced echelon form of the normal matrix,
-    so the output is deterministic.  Distinctness survives because the
-    rewriting is injective on the span.
-    """
-    red, pivots = arr.normal_matrix().rref()
-    r = len(pivots)
-    basis = Matrix(red.entries[:r]) if r else Matrix.zero(0, arr.dim)
-    # RREF basis is the identity on pivot columns, so span coefficients can
-    # be read off directly.
-    new_rows = [[h.normal[p] for p in pivots] for h in arr.hyperplanes]
-    section = Matrix([[1 if (i in pivots and pivots.index(i) == j) else 0
-                       for j in range(r)] for i in range(arr.dim)])
-    ess = arrangement(r, new_rows) if new_rows else Arrangement(r, ())
-    return Essentialization(ess, section, basis, arr.dim - r)
+    pivots = _eliminate(arr.normals(), arr.dim, reduce=False)[1]
+    return arrangement(len(pivots),
+                       [[h.normal[p] for p in pivots] for h in arr.hyperplanes])
 
 
 def deletion(arr: Arrangement, h: int) -> Arrangement:
@@ -366,7 +338,9 @@ def subarrangement(arr: Arrangement, indices: Sequence[int]) -> Arrangement:
 
 # -- text format -------------------------------------------------------------
 
-_COEFF_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: \d, str.isdigit and int also accept other scripts' digits.
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_NATURAL_RE = re.compile(r"[0-9]+")
 
 
 def parse_arrangement(text: str) -> tuple[Arrangement, Multiplicity]:
@@ -393,7 +367,7 @@ def parse_arrangement(text: str) -> tuple[Arrangement, Multiplicity]:
         if tokens[0] == "dim":
             if dim is not None:
                 raise ParseError("duplicate dim declaration", lineno)
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _NATURAL_RE.fullmatch(tokens[1]):
                 raise ParseError("expected 'dim <nonnegative integer>'", lineno)
             dim = int(tokens[1])
         elif tokens[0] == "hyperplane":
@@ -405,7 +379,7 @@ def parse_arrangement(text: str) -> tuple[Arrangement, Multiplicity]:
                 at = coeff_tokens.index("mult")
                 mult_tokens = coeff_tokens[at + 1:]
                 coeff_tokens = coeff_tokens[:at]
-                if len(mult_tokens) != 1 or not mult_tokens[0].isdigit() \
+                if len(mult_tokens) != 1 or not _NATURAL_RE.fullmatch(mult_tokens[0]) \
                         or int(mult_tokens[0]) < 1:
                     raise ParseError("expected 'mult <positive integer>'", lineno)
                 mult = int(mult_tokens[0])
@@ -413,7 +387,7 @@ def parse_arrangement(text: str) -> tuple[Arrangement, Multiplicity]:
                 raise ParseError(
                     f"expected {dim} coefficients, got {len(coeff_tokens)}", lineno)
             for t in coeff_tokens:
-                if not _COEFF_RE.match(t):
+                if not _COEFF_RE.fullmatch(t):
                     raise ParseError(f"bad coefficient {t!r}", lineno)
             coeffs = [Fraction(t) for t in coeff_tokens]
             if all(c == 0 for c in coeffs):

@@ -117,6 +117,9 @@ def verdict_payload(verdict: Verdict) -> dict:
 
 # -- input helpers -----------------------------------------------------------
 
+# ASCII digits only: \d and int also accept other scripts' digits.
+_INT_RE = re.compile(r"-?[0-9]+")
+
 
 def _load(args) -> tuple[Arrangement, Multiplicity]:
     try:
@@ -126,14 +129,13 @@ def _load(args) -> tuple[Arrangement, Multiplicity]:
         raise ParseError(f"cannot read {args.input}: {exc.strerror}") from exc
     arr, m = parse_arrangement(text)
     if getattr(args, "mult", None):
-        tokens = args.mult.split(",")
+        tokens = [t.strip() for t in args.mult.split(",")]
         if len(tokens) != arr.n:
             raise ParseError(
                 f"--mult has {len(tokens)} entries for {arr.n} hyperplanes")
-        try:
-            m = tuple(int(t) for t in tokens)
-        except ValueError:
-            raise ParseError(f"--mult entries must be integers: {args.mult!r}") from None
+        if not all(_INT_RE.fullmatch(t) for t in tokens):
+            raise ParseError(f"--mult entries must be integers: {args.mult!r}")
+        m = tuple(int(t) for t in tokens)
         check_multiplicity(arr, m)
     return arr, m
 
@@ -401,7 +403,7 @@ def _parse_generate_spec(tokens: list[str], default_seed: int) -> Arrangement:
 
     def need_int() -> int:
         nonlocal pos
-        if pos >= len(tokens) or not re.fullmatch(r"-?\d+", tokens[pos]):
+        if pos >= len(tokens) or not _INT_RE.fullmatch(tokens[pos]):
             raise ParseError(f"expected an integer in generate spec, got "
                              f"{tokens[pos] if pos < len(tokens) else 'end of input'}")
         value = int(tokens[pos])
@@ -429,7 +431,7 @@ def _parse_generate_spec(tokens: list[str], default_seed: int) -> Arrangement:
             n = need_int()
             dim = need_int()
             seed = default_seed
-            if pos < len(tokens) and re.fullmatch(r"-?\d+", tokens[pos]):
+            if pos < len(tokens) and _INT_RE.fullmatch(tokens[pos]):
                 seed = need_int()
             return generic_arrangement(n, dim, seed)
         if tok == "product":
@@ -472,7 +474,7 @@ def parse_basis_file(text: str, dim: int):
             current = {}
             blocks.append(current)
             continue
-        match = re.fullmatch(r"component\s+(\d+)\s*:\s*(.*)", line)
+        match = re.fullmatch(r"component\s+([0-9]+)\s*:\s*(.*)", line)
         if not match:
             raise ParseError(f"expected 'derivation' or 'component i: <poly>', "
                              f"got {line!r}", lineno)

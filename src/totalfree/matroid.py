@@ -5,8 +5,12 @@ with additive rank, and the finest such partition is the set of connected
 components of the matroid of normals.  Components are computed from
 fundamental circuits with respect to one greedy basis: link every non-basis
 element to the basis elements of its fundamental circuit; the connected
-components of that graph are the matroid components.  One reduced echelon
-form of the normals, taken as columns, yields the basis and every circuit.
+components of that graph are the matroid components.  One fraction-free
+reduced elimination of the normals, taken as columns, yields the basis and
+every circuit.  Each factor is the essentialization of its block: the
+block's normals restricted to the block's pivot coordinates.  All of it is
+integer pivoting with no change-of-basis matrix, so the ambient dimension
+enters the cost only as the length of the normals.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, essentialize, subarrangement
-from .errors import InternalInvariantError
-from .linalg import Matrix
+from .linalg import _eliminate
 
 
 def connected_components(arr: Arrangement) -> list[tuple[int, ...]]:
@@ -23,7 +26,8 @@ def connected_components(arr: Arrangement) -> list[tuple[int, ...]]:
 
     Blocks are returned sorted by smallest member; the empty arrangement
     yields the empty partition.  Correctness: in the reduced echelon form
-    of the matrix whose columns are the normals, the pivot columns are the
+    of the matrix whose columns are the normals (the fraction-free reduced
+    rows are nonzero multiples of its rows), the pivot columns are the
     greedy basis and a non-pivot column holds its normal's coordinates in
     that basis, so the nonzero rows of the column are the basis elements of
     its fundamental circuit.  Row i is nonzero exactly on basis element i
@@ -33,9 +37,9 @@ def connected_components(arr: Arrangement) -> list[tuple[int, ...]]:
     """
     if arr.n == 0:
         return []
-    red, basis = Matrix(zip(*arr.normals())).rref()
+    rows, basis, _, _ = _eliminate(list(zip(*arr.normals())), arr.n, reduce=True)
     blocks: list[set[int]] = []
-    for row in red.entries[:len(basis)]:
+    for row in rows[:len(basis)]:
         block = {e for e, x in enumerate(row) if x != 0}
         for other in [b for b in blocks if b & block]:
             block |= other
@@ -74,15 +78,12 @@ class Factor:
 class Decomposition:
     """Product decomposition into irreducible factors plus trivial directions.
 
-    ``change_of_basis`` is an invertible matrix sending the padded product
-    normals (factor normals laid out block by block, zero on the trivial
-    coordinates) to covectors proportional to the original normals.
+    The factors' ranks and ``trivial_directions`` sum to ``ambient_dim``.
     """
 
     ambient_dim: int
     factors: tuple[Factor, ...]
     trivial_directions: int
-    change_of_basis: Matrix
 
     def factor_ranks(self) -> tuple[int, ...]:
         return tuple(f.rank for f in self.factors)
@@ -93,50 +94,6 @@ class Decomposition:
 
 def decompose(arr: Arrangement) -> Decomposition:
     """Split into irreducible essential factors ordered by smallest index."""
-    factors = []
-    basis_rows: list[tuple] = []
-    for block in connected_components(arr):
-        ess = essentialize(subarrangement(arr, block))
-        factors.append(Factor(ess.arrangement, block))
-        basis_rows.extend(ess.old_to_new.entries)
-    rank = len(basis_rows)
-    # Complete the stacked factor bases to an invertible matrix with
-    # standard basis vectors, greedily in coordinate order.
-    completion: list[tuple] = []
-    for i in range(arr.dim):
-        if rank + len(completion) == arr.dim:
-            break
-        candidate = tuple(1 if j == i else 0 for j in range(arr.dim))
-        trial = basis_rows + completion + [candidate]
-        if Matrix(trial).rank() == len(trial):
-            completion.append(candidate)
-    change = Matrix(basis_rows + completion) if arr.dim else Matrix([])
-    if arr.dim and change.det() == 0:
-        raise InternalInvariantError("change of basis is singular")
-    return Decomposition(arr.dim, tuple(factors), arr.dim - rank, change)
-
-
-def reassemble_normals(decomp: Decomposition) -> list[tuple]:
-    """Original-coordinate covectors recovered from the decomposition.
-
-    For each factor hyperplane, pad its normal into the product coordinates
-    and push it through the change of basis.  The results are proportional
-    to the original normals, in original index order.
-    """
-    offsets = []
-    at = 0
-    for f in decomp.factors:
-        offsets.append(at)
-        at += f.rank
-    rows: dict[int, tuple] = {}
-    for f, off in zip(decomp.factors, offsets):
-        for local, orig in enumerate(f.indices):
-            padded = [0] * decomp.ambient_dim
-            normal = f.arrangement.hyperplanes[local].normal
-            for j, c in enumerate(normal):
-                padded[off + j] = c
-            rows[orig] = tuple(
-                sum(padded[k] * decomp.change_of_basis.entries[k][c]
-                    for k in range(decomp.ambient_dim))
-                for c in range(decomp.ambient_dim))
-    return [rows[i] for i in sorted(rows)]
+    factors = tuple(Factor(essentialize(subarrangement(arr, block)), block)
+                    for block in connected_components(arr))
+    return Decomposition(arr.dim, factors, arr.dim - sum(f.rank for f in factors))

@@ -10,6 +10,7 @@ rounds of exact integer division by ``alpha``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -145,30 +146,6 @@ class HomPoly:
                     terms[e] = s
         return HomPoly.from_terms(self.num_vars, terms)
 
-    def __pow__(self, k: int) -> HomPoly:
-        if k < 0:
-            raise ValueError("negative power")
-        result = HomPoly.constant(self.num_vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        if len(point) != self.num_vars:
-            raise ValueError("point has wrong arity")
-        pt = [_frac(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            v = c
-            for x, k in zip(pt, e):
-                v *= x ** k
-            total += v
-        return total
-
 
 def divisible_by_power(f: HomPoly, alpha: HomPoly, m: int) -> bool:
     """Exact test of ``alpha^m | f`` for a nonzero linear form ``alpha``.
@@ -257,6 +234,10 @@ def poly_det(grid: Sequence[Sequence[HomPoly]]) -> HomPoly:
 
 # -- text form (used by the CLI basis files and reports) -------------------
 
+# ASCII digits only: int and Fraction also accept other scripts' digits.
+_DIGITS_RE = re.compile(r"[0-9]+")
+_COEFF_RE = re.compile(r"[0-9]+(/[1-9][0-9]*)?")
+
 
 def poly_to_str(f: HomPoly, var_prefix: str = "x") -> str:
     if f.is_zero():
@@ -325,24 +306,19 @@ def parse_poly(text: str, num_vars: int, var_prefix: str = "x") -> HomPoly:
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor.startswith(var_prefix):
-                var_part, _, pow_part = factor.partition("^")
-                try:
-                    idx = int(var_part[len(var_prefix):])
-                except ValueError:
-                    raise ValueError(f"bad variable {factor!r}") from None
-                if not 1 <= idx <= num_vars:
+                var_part, caret, pow_part = factor.partition("^")
+                index = var_part[len(var_prefix):]
+                if not _DIGITS_RE.fullmatch(index):
+                    raise ValueError(f"bad variable {factor!r}")
+                if not 1 <= int(index) <= num_vars:
                     raise ValueError(f"variable {var_part!r} out of range 1..{num_vars}")
-                power = 1
-                if pow_part:
-                    power = int(pow_part)
-                    if power < 0:
-                        raise ValueError(f"negative power in {factor!r}")
-                expo[idx - 1] += power
+                if caret and not _DIGITS_RE.fullmatch(pow_part):
+                    raise ValueError(f"bad power in {factor!r}")
+                expo[int(index) - 1] += int(pow_part) if caret else 1
             else:
-                try:
-                    coeff *= Fraction(factor)
-                except (ValueError, ZeroDivisionError):
-                    raise ValueError(f"bad coefficient {factor!r}") from None
+                if not _COEFF_RE.fullmatch(factor):
+                    raise ValueError(f"bad coefficient {factor!r}")
+                coeff *= Fraction(factor)
         key = tuple(expo)
         total[key] = total.get(key, Fraction(0)) + coeff
     return HomPoly.from_terms(num_vars, total)

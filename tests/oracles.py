@@ -120,6 +120,41 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def power(f, k: int):
+    """``f`` to the ``k``-th power by repeated squaring.
+
+    The package's ``HomPoly.__pow__``, which nothing outside the tests
+    called, kept for them.
+    """
+    if k < 0:
+        raise ValueError("negative power")
+    result = HomPoly.constant(f.num_vars, 1)
+    while k:
+        if k & 1:
+            result = result * f
+        f = f * f if k > 1 else f
+        k >>= 1
+    return result
+
+
+def evaluate(f, point) -> Fraction:
+    """Value of ``f`` at a rational point.
+
+    The package's ``HomPoly.evaluate``, which nothing outside the tests
+    called, kept for them.
+    """
+    if len(point) != f.num_vars:
+        raise ValueError("point has wrong arity")
+    pt = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for e, c in f.coeffs.items():
+        v = c
+        for x, k in zip(pt, e):
+            v *= x ** k
+        total += v
+    return total
+
+
 def substitute(f, change):
     """Apply the linear change of variables ``x_i = sum_j change[i][j] * y_j``.
 
@@ -140,7 +175,7 @@ def substitute(f, change):
 
     def image_power(i: int, k: int) -> HomPoly:
         if k not in powers[i]:
-            powers[i][k] = images[i] ** k
+            powers[i][k] = power(images[i], k)
         return powers[i][k]
 
     result = HomPoly.zero(new_vars)
@@ -218,7 +253,7 @@ def target_product(arr, m):
     """Saito's target Q = prod alpha_H^{m(H)}, expanded term by term."""
     target = HomPoly.constant(arr.dim, 1)
     for h, mult in zip(arr.hyperplanes, m):
-        target = target * h.linear_form() ** mult
+        target = target * power(h.linear_form(), mult)
     return target
 
 
@@ -290,6 +325,44 @@ def rref_localization(normals, members, u, v) -> list[tuple[int, ...]]:
         assert pivots == (0, 1), f"normal {k} is not in the span of u and v"
         out.append(primitive((red[0][2], red[1][2])))
     return out
+
+
+def assert_pivot_restriction(arr, ess) -> None:
+    """``ess`` is ``arr`` restricted to its RREF pivot columns, and essential.
+
+    Each normal of ``ess`` is the primitive form of ``arr``'s normal on the
+    pivot columns of the rational RREF, and that restricted normal times
+    the RREF basis B gives back ``arr``'s normal up to scale: B is the
+    identity on the pivot columns, so a = (a on the pivots) B for every a in
+    the span of the normals.
+    """
+    basis, pivots = fraction_rref(arr.normals(), arr.dim)
+    assert ess.dim == len(pivots) == fraction_rank(ess.normals(), ess.dim)
+    assert ess.n == arr.n
+    for new, old in zip(ess.normals(), arr.normals()):
+        assert new == primitive([old[p] for p in pivots])
+        assert primitive([sum(c * basis[k][j] for k, c in enumerate(new))
+                          for j in range(arr.dim)]) == old
+
+
+def fraction_components(arr) -> list[tuple[int, ...]]:
+    """Matroid components from the rational RREF of the normals as columns.
+
+    The package's ``connected_components`` before it went to fraction-free
+    pivots, kept as the reference for it: the supports of the nonzero RREF
+    rows are the fundamental circuits, merged where they meet.
+    """
+    if not arr.n:
+        return []
+    red, pivots = fraction_rref(list(zip(*arr.normals())), arr.n)
+    blocks: list[set[int]] = []
+    for row in red[:len(pivots)]:
+        block = {e for e, x in enumerate(row) if x}
+        for other in [b for b in blocks if b & block]:
+            block |= other
+            blocks.remove(other)
+        blocks.append(block)
+    return sorted(tuple(sorted(b)) for b in blocks)
 
 
 def set_partitions(items: list):
@@ -375,3 +448,14 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
         m = Matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         if m.det() != 0:
             return m
+
+
+def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """Integer matrix of determinant +-1: row additions, then a permutation."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return m

@@ -34,7 +34,8 @@ from totalfree.certificates import _all_triples_rank3
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly
 from oracles import (
-    brute_rank2_flats, fraction_rank, primitive, random_invertible, rref_localization)
+    assert_pivot_restriction, brute_rank2_flats, fraction_rank, primitive, random_invertible,
+    rref_localization)
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -88,29 +89,26 @@ def test_duplicates_rejected():
 def test_essentialize_braid_a3():
     arr = arrangement(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)])
     ess = essentialize(arr)
-    assert ess.arrangement.dim == 2
-    assert ess.arrangement.n == 3
-    assert ess.trivial_directions == 1
-    # new normals composed with the span basis recover the originals
-    for h_new, h_old in zip(ess.arrangement.hyperplanes, arr.hyperplanes):
-        back = [sum(h_new.normal[k] * ess.old_to_new.entries[k][c] for k in range(2))
-                for c in range(3)]
-        assert normalize_hyperplane(back) == h_old
+    # pivot columns x1, x2; the dropped x3 is the trivial direction
+    assert ess == arrangement(2, [(1, -1), (1, 0), (0, 1)])
+    assert_pivot_restriction(arr, ess)
 
 
 def test_essentialize_already_essential():
-    ess = essentialize(THREE_LINES)
-    assert ess.trivial_directions == 0
-    assert ess.arrangement == THREE_LINES
-    assert ess.new_to_old == Matrix.identity(2)
+    assert essentialize(THREE_LINES) == THREE_LINES
 
 
 def test_essentialize_empty():
-    from totalfree import Arrangement
-    ess = essentialize(Arrangement(2, ()))
-    assert ess.arrangement.dim == 0
-    assert ess.arrangement.n == 0
-    assert ess.trivial_directions == 2
+    assert essentialize(Arrangement(2, ())) == Arrangement(0, ())
+
+
+def test_essentialize_pivots_past_the_first_columns():
+    # pivot column x2 only: the restricted normal (2) normalizes to (1)
+    arr = arrangement(3, [(0, 2, 1)])
+    assert essentialize(arr) == arrangement(1, [(1,)])
+    arr = arrangement(4, [(0, 1, 0, 2), (0, 0, 0, 1), (0, 1, 0, 1)])
+    assert essentialize(arr) == arrangement(2, [(1, 2), (0, 1), (1, 1)])
+    assert_pivot_restriction(arr, essentialize(arr))
 
 
 # -- deletion / restriction --------------------------------------------------
@@ -306,7 +304,7 @@ def test_product_associative_and_rank_additive():
     b = boolean_arrangement(2)
     c = arrangement(1, [(1,)])
     assert product(product(a, b), c) == product(a, product(b, c))
-    assert essentialize(product(a, b)).arrangement.dim == a.rank() + b.rank()
+    assert essentialize(product(a, b)).dim == a.rank() + b.rank()
 
 
 # -- derivation membership ---------------------------------------------------
@@ -388,3 +386,18 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_arrangement(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("dim \u00b2\n", 1),                                   # superscript two
+    ("dim \u0663\n", 1),                                   # Arabic-Indic three
+    ("dim 2\nhyperplane \u0661 0\n", 2),
+    ("dim 2\nhyperplane 1/\u0662 0\n", 2),
+    ("dim 2\nhyperplane 1 0 mult \u00b2\n", 2),
+    ("dim 2\nhyperplane 1 0 mult \u0662\n", 2),
+], ids=["dim-superscript", "dim-arabic", "coefficient", "denominator",
+        "mult-superscript", "mult-arabic"])
+def test_parse_rejects_non_ascii_digits(text, lineno):
+    with pytest.raises(ParseError) as exc:
+        parse_arrangement(text)
+    assert exc.value.line == lineno

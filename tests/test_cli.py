@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from totalfree import parse_arrangement, braid_arrangement, format_arrangement
 from totalfree.cli import main
 
@@ -138,6 +140,28 @@ def test_parse_error_exit1(tmp_path, capsys):
     path = write(tmp_path, "bad.arr", "dim 2\nhyperplane 1\n")
     code, _, err = run(capsys, "totally-free", "-i", path)
     assert code == 1 and "line 2" in err
+
+
+_AXES = "dim 2\nhyperplane 1 0\nhyperplane 0 1\n"
+
+
+@pytest.mark.parametrize("argv, arr_text, basis_text, fragment", [
+    (["analyze"], "dim \u00b2\n", None, "line 1"),
+    (["totally-free"], "dim 2\nhyperplane \u0661 0\n", None, "line 2"),
+    (["exponents", "--mult", "\u0661,2"], _AXES, None, "--mult entries must be integers"),
+    (["generate", "braid", "\u0664"], None, None, "expected an integer"),
+    (["generate", "generic", "4", "3", "\u0664"], None, None, "trailing tokens"),
+    (["saito-verify"], _AXES, "derivation\ncomponent \u0661: x1\n", "line 2"),
+    (["saito-verify"], _AXES, "derivation\ncomponent 1: x\u0661\n", "line 2"),
+], ids=["arrangement-dim", "arrangement-coefficient", "mult-option", "generate",
+        "generate-seed", "basis-component", "basis-polynomial"])
+def test_non_ascii_digits_exit1(tmp_path, capsys, argv, arr_text, basis_text, fragment):
+    if arr_text is not None:
+        argv = argv + ["-i", write(tmp_path, "in.arr", arr_text)]
+    if basis_text is not None:
+        argv = argv + ["--basis", write(tmp_path, "basis.txt", basis_text)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and fragment in err
 
 
 def test_missing_file_exit1(capsys):

@@ -1,19 +1,39 @@
+import ast
+import json
+import os
 import random
+import time
+from functools import reduce
 
+from hypothesis import given, settings, strategies as st
+
+import totalfree
 from totalfree import (
     Arrangement,
     arrangement,
     boolean_arrangement,
     braid_arrangement,
     connected_components,
+    decide_totally_free,
     decompose,
     essentialize,
+    format_arrangement,
     generic_arrangement,
     is_irreducible,
     normalize_hyperplane,
-    reassemble_normals,
+    product,
+    subarrangement,
 )
-from oracles import bipartition_decompose, finest_additive_partition, random_invertible
+from totalfree.cli import main
+from oracles import (
+    assert_pivot_restriction,
+    bipartition_decompose,
+    finest_additive_partition,
+    fraction_components,
+    fraction_rank,
+    random_invertible,
+    random_unimodular,
+)
 
 
 def _transformed(arr, change):
@@ -92,7 +112,7 @@ def test_is_irreducible_examples():
     assert not is_irreducible(arrangement(2, [(1, 0), (0, 1)]))
     # braid-S4 in ambient dimension 4 has a trivial direction: reducible
     assert not is_irreducible(braid_arrangement(4))
-    assert is_irreducible(essentialize(braid_arrangement(4)).arrangement)
+    assert is_irreducible(essentialize(braid_arrangement(4)))
     assert not is_irreducible(Arrangement(1, ()))
 
 
@@ -116,6 +136,14 @@ def test_decompose_empty():
     assert decomp.trivial_directions == 2
 
 
+def _assert_product_of_factors(arr, decomp):
+    """Factors are their blocks on the RREF pivot columns; ranks add up."""
+    assert sum(decomp.factor_ranks()) == arr.rank() == fraction_rank(arr.normals(), arr.dim)
+    assert decomp.trivial_directions == arr.dim - arr.rank()
+    for f in decomp.factors:
+        assert_pivot_restriction(subarrangement(arr, f.indices), f.arrangement)
+
+
 def test_decompose_soundness_reassembly():
     corpus = [
         braid_arrangement(4),
@@ -123,15 +151,12 @@ def test_decompose_soundness_reassembly():
         arrangement(3, [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1)]),
         generic_arrangement(5, 3, seed=3),
         arrangement(2, [(1, 0), (0, 1), (1, 1)]),
+        _INTERLEAVED,
+        arrangement(6, [(0, 1, 0, 2, 0, 0), (0, 0, 0, 1, 0, 0), (0, 1, 0, 1, 0, 0),
+                        (0, 0, 0, 0, 0, 3)]),
     ]
     for arr in corpus:
-        decomp = decompose(arr)
-        assert decomp.change_of_basis.det() != 0
-        back = [normalize_hyperplane(row) for row in reassemble_normals(decomp)]
-        assert back == list(arr.hyperplanes)
-        assert sum(decomp.factor_ranks()) + decomp.trivial_directions == arr.dim
-        for f in decomp.factors:
-            assert f.arrangement.rank() == f.arrangement.dim  # essential
+        _assert_product_of_factors(arr, decompose(arr))
 
 
 def test_decompose_partition_invariant_under_coordinate_change():
@@ -144,3 +169,99 @@ def test_decompose_partition_invariant_under_coordinate_change():
             change = random_invertible(rng, arr.dim)
             moved = _transformed(arr, change)
             assert [f.indices for f in decompose(moved).factors] == base
+
+
+@st.composite
+def embedded_products(draw):
+    """Products of small blocks, moved by a unimodular change and zero-padded.
+
+    Padding puts zero columns among the coordinates, so pivot columns are
+    not a prefix; without a change of coordinates every block keeps its own
+    coordinates, with one the blocks share all of them.
+    """
+    blocks = []
+    for _ in range(draw(st.integers(1, 4), label="blocks")):
+        r = draw(st.integers(1, 3), label="block rank")
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+                             .filter(any), min_size=1, max_size=4), label="block rows")
+        blocks.append(arrangement(r, dict.fromkeys(normalize_hyperplane(v).normal
+                                                   for v in rows)))
+    arr = reduce(product, blocks)
+    rng = random.Random(draw(st.integers(0, 10**6), label="rng seed"))
+    if draw(st.booleans(), label="change coordinates"):
+        u = random_unimodular(rng, arr.dim)
+        arr = arrangement(arr.dim, [[sum(a[k] * u[k][j] for k in range(arr.dim))
+                                     for j in range(arr.dim)] for a in arr.normals()])
+    dim = arr.dim + draw(st.integers(0, 3), label="zero columns")
+    kept = sorted(rng.sample(range(dim), arr.dim))
+    padded = []
+    for a in arr.normals():
+        row = [0] * dim
+        for k, c in zip(kept, a):
+            row[k] = c
+        padded.append(row)
+    return arrangement(dim, padded)
+
+
+@settings(max_examples=150)
+@given(embedded_products())
+def test_structure_matches_fraction_rref(arr):
+    assert connected_components(arr) == fraction_components(arr)
+    decomp = decompose(arr)
+    assert [f.indices for f in decomp.factors] == fraction_components(arr)
+    _assert_product_of_factors(arr, decomp)
+
+
+# -- cost in the ambient dimension ---------------------------------------------
+
+
+_BIG_DIM = 10_000
+
+
+def _two_hyperplanes(dim):
+    """x1 - x2 and x2 - x3 in the given dimension."""
+    return [(1, -1) + (0,) * (dim - 2), (0, 1, -1) + (0,) * (dim - 3)]
+
+
+def test_decide_cost_does_not_grow_with_ambient_dimension():
+    arr = arrangement(_BIG_DIM, _two_hyperplanes(_BIG_DIM))
+    start = time.perf_counter()
+    verdict = decide_totally_free(arr)
+    elapsed = time.perf_counter() - start
+    assert verdict.totally_free
+    assert [f.indices for f in verdict.decomposition.factors] == [(0,), (1,)]
+    assert [f.arrangement for f in verdict.decomposition.factors] == [
+        arrangement(1, [(1,)])] * 2
+    assert verdict.decomposition.trivial_directions == _BIG_DIM - 2
+    assert elapsed < 1.0
+
+
+def test_cli_totally_free_cost_does_not_grow_with_ambient_dimension(tmp_path, capsys):
+    path = tmp_path / "two.arr"
+    path.write_text(format_arrangement(arrangement(_BIG_DIM, _two_hyperplanes(_BIG_DIM))))
+    start = time.perf_counter()
+    code = main(["totally-free", "--json", "-i", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["totally_free"] is True
+    assert result["factors"] == [{"indices": [0], "rank": 1}, {"indices": [1], "rank": 1}]
+    assert result["trivial_directions"] == _BIG_DIM - 2
+    assert elapsed < 1.0
+
+
+# -- layering ------------------------------------------------------------------
+
+
+def test_structure_layer_does_not_use_matrix():
+    """Structure comes from integer pivots: ``arrangement`` and ``matroid``
+    never name the ``Fraction`` matrix class."""
+    package = os.path.dirname(totalfree.__file__)
+    for module in ("arrangement.py", "matroid.py"):
+        with open(os.path.join(package, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "Matrix" not in names, module
