@@ -8,8 +8,8 @@ integers aligned with that order.  The empty arrangement and dimension-0
 arrangements are legal values (they arise as essentialization output and
 product factors).
 
-Rank-2 structure rests on one integer key: ``span_key(u, v)``, the
-primitive, sign-fixed 2x2 minors of two independent normals, names their
+Rank-2 structure rests on one integer key: ``span_key(u, v)``, the support
+and primitive, sign-fixed 2x2 minors of two independent normals, names their
 plane.  Pairs with equal keys form the rank-2 flats, and three normals have
 rank 3 iff span_key(a, b) != span_key(a, c), the generic-circuit test.
 """
@@ -266,20 +266,22 @@ class Flat2:
     span_basis: tuple[IntVector, IntVector]
 
 
-def span_key(u: Sequence[int], v: Sequence[int]) -> IntVector:
+def span_key(u: Sequence[int], v: Sequence[int]) -> tuple[IntVector, IntVector]:
     """Key of the plane spanned by two independent integer normals.
 
-    The 2x2 minors u_p v_q - u_q v_p (p < q) of u ^ v, divided by their gcd,
-    first nonzero minor positive: two pairs span one plane iff keys are equal.
+    The plane's support and the 2x2 minors u_p v_q - u_q v_p (p < q in the
+    support) of u ^ v, divided by their gcd, first nonzero minor positive:
+    two pairs span one plane iff keys are equal.  Minors off the support
+    vanish, so the cost does not grow with the dimension.
     """
-    minors = [u[p] * v[q] - u[q] * v[p]
-              for p in range(len(u)) for q in range(p + 1, len(u))]
+    cols = tuple([i for i, (x, y) in enumerate(zip(u, v)) if x or y])
+    minors = [u[p] * v[q] - u[q] * v[p] for k, p in enumerate(cols) for q in cols[k + 1:]]
     g = math.gcd(*minors)
     if g == 0:
         raise ValueError("dependent normals span no plane")
     if next(x for x in minors if x) < 0:
         g = -g
-    return tuple(x // g for x in minors)
+    return cols, tuple([x // g for x in minors])
 
 
 def rank2_flats(arr: Arrangement) -> list[Flat2]:
@@ -291,7 +293,7 @@ def rank2_flats(arr: Arrangement) -> list[Flat2]:
     member k arrives, increasing, with the pair (smallest, k).
     """
     normals = arr.normals()
-    groups: dict[IntVector, list[int]] = {}
+    groups: dict[tuple[IntVector, IntVector], list[int]] = {}
     for i in range(arr.n):
         for j in range(i + 1, arr.n):
             members = groups.setdefault(span_key(normals[i], normals[j]), [i])
@@ -305,17 +307,18 @@ def localization(arr: Arrangement, m: Multiplicity, flat: Flat2
                  ) -> tuple[Arrangement, Multiplicity]:
     """The rank-2 multiarrangement seen in the coordinates of a flat's span.
 
-    For the span basis (u, v) and the first coordinates (p, q) with
-    D = u_p v_q - u_q v_p nonzero, member a is ((a ^ v) u + (u ^ a) v) / D,
-    wedges taken on (p, q); D cancels in the normalization of the rows.
+    For the span basis (u, v) and the first coordinates (p, q) of their
+    support with D = u_p v_q - u_q v_p nonzero, member a is
+    ((a ^ v) u + (u ^ a) v) / D, wedges taken on (p, q); D cancels in the
+    normalization of the rows.
     """
     check_multiplicity(arr, m)
     u, v = flat.span_basis
     if len(u) != arr.dim or len(v) != arr.dim:
         raise MalformedFlatError(f"span basis arity is not the dimension {arr.dim}")
-    d, p, q = next(((u[p] * v[q] - u[q] * v[p], p, q) for p in range(arr.dim)
-                    for q in range(p + 1, arr.dim) if u[p] * v[q] != u[q] * v[p]),
-                   (0, 0, 0))
+    cols = [i for i, (x, y) in enumerate(zip(u, v)) if x or y]
+    d, p, q = next(((u[p] * v[q] - u[q] * v[p], p, q) for k, p in enumerate(cols)
+                    for q in cols[k + 1:] if u[p] * v[q] != u[q] * v[p]), (0, 0, 0))
     if d == 0:
         raise MalformedFlatError("span basis is not two independent covectors")
     rows, mult = [], []

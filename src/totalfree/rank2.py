@@ -1,16 +1,13 @@
 """Freeness machinery for multiarrangements of rank at most 2.
 
-Rank-2 multiarrangements are always free; their smaller exponent d1 is found
-by a degree-by-degree search for the minimal-degree member of the
-logarithmic derivation module, and d2 = |m| - d1.  Each degree gives one
-homogeneous linear system over the candidate coefficient vectors, with the
-divisibility conditions expressed through a linear change of variables.
-
-The search runs in conjugated coordinates where the first two lines are the
-axes: their divisibility conditions then simply delete unknowns, so only
-the remaining lines contribute matrix rows.  Exponents are invariant under
-the conjugation.  Basis derivations go back to the input coordinates by an
-integer transform with adj(C) and one exact division (``_to_original``).
+Rank-2 multiarrangements are always free.  One fraction-free order-basis
+sweep (Beckermann-Labahn, SIAM J. Matrix Anal. Appl. 1994) imposes the lines'
+conditions one order at a time; the two generators it ends with are a
+homogeneous basis, so their degrees are the exponents (d1, d2), d1 + d2 =
+|m|.  It is integer arithmetic, and every division is exact by Gauss's lemma.
+It runs in coordinates where the two heaviest lines are the axes; the printed
+basis is canonical there (``rank2_basis``) and goes back to the input
+coordinates by an integer transform with adj(C) (``_to_original``).
 
 Saito's criterion is evaluated in one place, ``saito_check``: its SaitoCheck
 record holds every membership, the determinant and its constant.
@@ -21,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import gcd
 
 from .arrangement import (
     Arrangement,
@@ -39,7 +36,6 @@ from .errors import (
     InternalInvariantError,
     NotTotallyFreeError,
 )
-from .linalg import Matrix
 from .matroid import decompose
 from .poly import HomPoly, divisible_by_power, poly_det
 
@@ -66,23 +62,17 @@ class ExponentPair:
         return (self.d1, self.d2)
 
 
-def _conjugation(n0: IntVector, n1: IntVector) -> Conjugation:
-    """2x2 integer change with line 0 mapped to the x-axis and line 1 to the y-axis.
-
-    Columns are kernel vectors of the two normals; independence of the lines
-    makes it invertible.
-    """
-    return ((n1[1], n0[1]), (-n1[0], -n0[0]))
-
-
 def _transformed_lines(arr2: Arrangement, m: Multiplicity
                        ) -> tuple[list[tuple[int, int]], list[int], Conjugation]:
-    # Send the two highest-multiplicity lines to the axes: their conditions
-    # consume the most unknowns, which keeps the linear systems small.
+    # Send the two highest-multiplicity lines to the axes.  This order fixes
+    # the coordinates in which rank2_basis's printed basis is canonical.
     order = sorted(range(arr2.n), key=lambda i: (-m[i], i))
     normals = [arr2.hyperplanes[i].normal for i in order]
     ms = [m[i] for i in order]
-    change = _conjugation(normals[0], normals[1])
+    # Columns are kernel vectors of the two normals: line 0 goes to the x-axis
+    # and line 1 to the y-axis, and independence makes C invertible.
+    (a0, b0), (a1, b1) = normals[0], normals[1]
+    change = ((b1, b0), (-a1, -a0))
     lines = []
     for normal in normals:
         image = [sum(normal[i] * change[i][j] for i in range(2))
@@ -93,57 +83,73 @@ def _transformed_lines(arr2: Arrangement, m: Multiplicity
     return lines, ms, change
 
 
-def _degree_system(lines: list[tuple[int, int]], ms: list[int], d: int
-                   ) -> tuple[list[int], list[int], list[list[int]]]:
-    """Constraint rows for degree-d members, over the surviving unknowns.
+def _times_linear(coeffs: list[int], form: tuple[int, int]) -> list[int]:
+    """Binary form times a*x + b*y; index k holds the coefficient of x^k."""
+    a, b = form
+    return [a * shifted + b * kept for shifted, kept in zip([0] + coeffs, coeffs + [0])]
 
-    Unknowns are the coefficients of p on x^j y^(d-j) for j >= m0 and of q
-    for j <= d - m1 (the axis conditions already consumed the rest), ordered
-    by ascending j with all p-unknowns before all q-unknowns.  Every further
-    line contributes min(m_i, d+1) rows: the low-order coefficients of
-    theta(alpha_i) after the change of variables sending alpha_i to the
-    first coordinate.
-    """
-    m0, m1 = ms[0], ms[1]
-    p_idx = [j for j in range(d + 1) if j >= m0]
-    q_idx = [j for j in range(d + 1) if j <= d - m1]
-    rows: list[list[int]] = []
-    for (a, b), mult in zip(lines[2:], ms[2:]):
-        if a == 0 or b == 0:
-            raise InternalInvariantError("line collides with a conjugated axis")
-        # theta(a*x + b*y) = a*p + b*q; substitute x = u + b*v, y = -a*v and
-        # read off the coefficients of u^k v^(d-k) for k < mult.
-        for k in range(min(mult, d + 1)):
-            def transfer(j: int) -> int:
-                if k > j:
-                    return 0
-                return comb(j, k) * b ** (j - k) * (-a) ** (d - j)
-            rows.append([a * transfer(j) for j in p_idx]
-                        + [b * transfer(j) for j in q_idx])
-    return p_idx, q_idx, rows
+
+def _residual(h: list[int], a: int, b: int) -> int:
+    """h(b, -a): zero iff a*x + b*y divides the binary form h."""
+    acc, power = h[-1], 1
+    for c in reversed(h[:-1]):
+        power *= -a
+        acc = acc * b + c * power
+    return acc
+
+
+def _divide_linear(h: list[int], a: int, b: int) -> list[int]:
+    """h / (a*x + b*y) for a form h that it divides, by synthetic division."""
+    out = [h[0] // b]
+    for c in h[1:-1]:
+        out.append((c - a * out[-1]) // b)
+    return out
 
 
 @lru_cache(maxsize=16384)
-def _min_degree(normals: tuple[IntVector, ...], ms: tuple[int, ...]) -> int:
-    """Smallest degree with a nonzero member; the smaller exponent d1."""
+def _min_degree(normals: tuple[IntVector, ...], ms: tuple[int, ...]
+                ) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """Generators (degree, p, q) of D(A, m), sorted by degree: the exponents.
+
+    p and q hold the coefficients of x^k y^(d-k) by k, in the coordinates of
+    ``_transformed_lines``.  After k orders of a line L = a*x + b*y, each
+    generator v keeps h = theta_v(L) / L^k and r = h(b, -a).  An order's
+    pivot is the least-degree v with r != 0; the other becomes (-a)^delta
+    r_piv v - r y^delta v_piv over its content, and the pivot becomes L v.
+    The name is older than the sweep: the benchmark reads this cache's
+    ``cache_info()`` under it.
+    """
     arr2 = Arrangement(2, tuple(Hyperplane(n) for n in normals))
     lines, mlist, _ = _transformed_lines(arr2, ms)
-    total = sum(ms)
-    for d in range(total // 2 + 1):
-        unknowns = max(0, d + 1 - mlist[0]) + max(0, d + 1 - mlist[1])
-        if unknowns == 0:
-            continue
-        if sum(min(mult, d + 1) for mult in mlist[2:]) < unknowns:
-            return d
-        _, _, rows = _degree_system(lines, mlist, d)
-        if Matrix(rows).rank() < unknowns:
-            return d
-    raise InternalInvariantError(
-        "no derivation up to half the total multiplicity; contradicts rank-2 freeness")
+    m0, m1 = mlist[0], mlist[1]
+    degrees = [m0, m1]
+    vectors = [([0] * m0 + [1], [0] * (m0 + 1)), ([0] * (m1 + 1), [1] + [0] * m1)]
+    for (a, b), mult in zip(lines[2:], mlist[2:]):
+        if a == 0 or b == 0:
+            raise InternalInvariantError("line collides with a conjugated axis")
+        hs = [[a * pc + b * qc for pc, qc in zip(p, q)] for p, q in vectors]
+        for _ in range(mult):
+            res = [_residual(h, a, b) for h in hs]
+            # Each order shrinks the module, so some residual is nonzero.
+            piv = min((j for j in (0, 1) if res[j]), key=lambda j: degrees[j])
+            o = 1 - piv
+            if res[o]:
+                delta = degrees[o] - degrees[piv]
+                c, r, pad = (-a) ** delta * res[piv], res[o], [0] * delta
+                p, q, h = ([c * x - r * y for x, y in zip(w, wp + pad)]
+                           for w, wp in zip((*vectors[o], hs[o]), (*vectors[piv], hs[piv])))
+                g = gcd(*p, *q)
+                vectors[o] = ([x // g for x in p], [x // g for x in q])
+                hs[o] = [x // g for x in _divide_linear(h, a, b)]
+            else:
+                hs[o] = _divide_linear(hs[o], a, b)
+            vectors[piv] = tuple(_times_linear(w, (a, b)) for w in vectors[piv])
+            degrees[piv] += 1
+    return tuple(sorted((d, tuple(p), tuple(q)) for d, (p, q) in zip(degrees, vectors)))
 
 
 def rank2_exponents(arr2: Arrangement, m: Multiplicity) -> ExponentPair:
-    """Exponents of a rank-2 multiarrangement by minimal-degree search.
+    """Exponents of a rank-2 multiarrangement: the degrees of the sweep's generators.
 
     A single line returns (0, m1): the transverse direction contributes
     degree 0.
@@ -155,55 +161,28 @@ def rank2_exponents(arr2: Arrangement, m: Multiplicity) -> ExponentPair:
     check_multiplicity(arr2, m)
     if arr2.n == 1:
         return ExponentPair(0, m[0])
-    d1 = _min_degree(tuple(arr2.normals()), tuple(m))
-    return ExponentPair(d1, sum(m) - d1)
+    (d1, _, _), (d2, _, _) = _min_degree(tuple(arr2.normals()), tuple(m))
+    return ExponentPair(d1, d2)
 
 
-def _kernel_derivations(lines: list[tuple[int, int]], ms: list[int], d: int
-                        ) -> list[tuple[HomPoly, HomPoly]]:
-    """All degree-d members as (p, q) pairs, canonical kernel basis order."""
-    p_idx, q_idx, rows = _degree_system(lines, ms, d)
-    unknowns = len(p_idx) + len(q_idx)
-    if unknowns == 0:
-        return []
-    if rows:
-        kernel = Matrix(rows).kernel_basis()
-    else:
-        kernel = [tuple(Fraction(1 if i == j else 0) for j in range(unknowns))
-                  for i in range(unknowns)]
-    out = []
-    for v in kernel:
-        p_terms = {(j, d - j): v[i] for i, j in enumerate(p_idx)}
-        q_terms = {(j, d - j): v[len(p_idx) + i] for i, j in enumerate(q_idx)}
-        out.append((HomPoly.from_terms(2, p_terms), HomPoly.from_terms(2, q_terms)))
-    return out
+def _to_original(pair: tuple[list[int], list[int]], den: int, change: Conjugation
+                 ) -> Derivation:
+    """Transport (p d/du + q d/dv) / den from conjugated coordinates (x = C u) back.
 
-
-def _times_linear(coeffs: list[int], form: tuple[int, int]) -> list[int]:
-    """Binary form times a*x + b*y; index k holds the coefficient of x^k."""
-    a, b = form
-    return [a * shifted + b * kept for shifted, kept in zip([0] + coeffs, coeffs + [0])]
-
-
-def _to_original(pair: tuple[HomPoly, HomPoly], change: Conjugation) -> Derivation:
-    """Transport a derivation from conjugated coordinates (x = C u) back to the input ones.
-
-    Component i is sum_j C[i][j] p_j(adj(C) x / D), D = det C.  The forms are
-    cleared of denominators (lcm L), composed with the integer rows of adj(C)
-    by Horner's rule in u/v in O(d^2), combined by C and divided once by L * D^d.
+    p and q are integer binary forms of one degree d, coefficients by the
+    power of u.  Component i is sum_j C[i][j] p_j(adj(C) x / D) / den,
+    D = det C: the forms are composed with the integer rows of adj(C) by
+    Horner's rule in u/v in O(d^2), combined by C and divided once by
+    den * D^d.
     """
     (c00, c01), (c10, c11) = change
     u, v = (c11, -c01), (-c10, c00)
-    d = max(comp.degree for comp in pair)
-    den = lcm(*(c.denominator for comp in pair for c in comp.coeffs.values()))
+    d = len(pair[0]) - 1
     v_powers = [[1]]
     for _ in range(d):
         v_powers.append(_times_linear(v_powers[-1], v))
     composed = []
-    for comp in pair:
-        c = [0] * (d + 1)
-        for (k, _), value in comp.coeffs.items():
-            c[k] = value.numerator * (den // value.denominator)
+    for c in pair:
         acc = [c[d]]
         for k in range(d - 1, -1, -1):
             acc = [a + c[k] * w for a, w in zip(_times_linear(acc, u), v_powers[d - k])]
@@ -215,35 +194,52 @@ def _to_original(pair: tuple[HomPoly, HomPoly], change: Conjugation) -> Derivati
         for r0, r1 in change])
 
 
+def _last(w: list[int]) -> int:
+    return max(i for i, c in enumerate(w) if c)
+
+
+def _clear(w: list[int], s: list[int], col: int) -> list[int]:
+    """w with column ``col`` cleared by a multiple of s, made primitive."""
+    if not w[col]:
+        return w
+    out = [s[col] * x - w[col] * y for x, y in zip(w, s)]
+    g = gcd(*out)
+    return [x // g for x in out]
+
+
 def rank2_basis(arr2: Arrangement, m: Multiplicity) -> tuple[Derivation, Derivation]:
     """A homogeneous basis of the derivation module of a rank-2 multiarrangement.
 
-    theta1 is the first canonical kernel vector at the minimal degree d1;
-    theta2 is the first degree-d2 solution whose coefficient determinant
-    against theta1 is nonzero.  The returned pair passes saito_verify.
+    theta1 and theta2 are the first reduced-echelon kernel vectors of the
+    degree-d1 and (with det != 0) degree-d2 systems on the unknowns p on
+    x^j (j >= m0), then q on x^j (j <= d - m1).  From ``_min_degree``,
+    stacked as p + q: theta1 is the d1 generator (at d1 = d2, the one with
+    the smaller last nonzero column once they differ), theta2 the d2
+    generator with the last columns of x^i y^(d2-d1-i) theta1 cleared,
+    highest i first; each over its last entry.  They pass saito_verify.
     """
     if arr2.dim != 2:
         raise DimensionMismatchError(f"ambient dimension {arr2.dim}, expected 2")
     if arr2.n < 2:
         raise ValueError("need at least two lines for a basis")
     check_multiplicity(arr2, m)
-    lines, mlist, change = _transformed_lines(arr2, m)
-    d1 = _min_degree(tuple(arr2.normals()), tuple(m))
-    d2 = sum(m) - d1
-    theta1_candidates = _kernel_derivations(lines, mlist, d1)
-    if not theta1_candidates:
-        raise InternalInvariantError("empty kernel at the minimal degree")
-    t1 = theta1_candidates[0]
-    for t2 in _kernel_derivations(lines, mlist, d2):
-        det = poly_det([[t1[0], t1[1]], [t2[0], t2[1]]])
-        if not det.is_zero():
-            theta1 = _to_original(t1, change)
-            theta2 = _to_original(t2, change)
-            if not saito_verify(arr2, m, (theta1, theta2)):
-                raise InternalInvariantError("basis candidate failed the Saito check")
-            return theta1, theta2
-    raise InternalInvariantError(
-        "no degree-d2 partner with nonzero determinant; contradicts rank-2 freeness")
+    _, _, change = _transformed_lines(arr2, m)
+    (d1, p1, q1), (d2, p2, q2) = _min_degree(tuple(arr2.normals()), tuple(m))
+    w1, w2 = list(p1 + q1), list(p2 + q2)
+    if d1 == d2:
+        w2 = _clear(w2, w1, _last(w1))
+        if _last(w2) < _last(w1):
+            w1, w2 = w2, w1
+    delta = d2 - d1
+    for i in range(delta, -1, -1):
+        low, high = [0] * i, [0] * (delta - i)
+        shift = low + w1[:d1 + 1] + high + low + w1[d1 + 1:] + high
+        w2 = _clear(w2, shift, _last(shift))
+    thetas = tuple(_to_original((w[:d + 1], w[d + 1:]), w[_last(w)], change)
+                   for w, d in ((w1, d1), (w2, d2)))
+    if not saito_verify(arr2, m, thetas):
+        raise InternalInvariantError("basis candidate failed the Saito check")
+    return thetas
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from totalfree.arrangement import check_multiplicity, derivation, is_member
 from totalfree.errors import DimensionMismatchError
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
+from totalfree.rank2 import _transformed_lines
 
 
 def rank_rows(rows) -> int:
@@ -290,6 +291,106 @@ def reference_saito_verify(arr, m, thetas) -> bool:
     if c is None:
         return False
     return det == target.scale(c / target.coeffs[probe])
+
+
+def _degree_system(lines, ms, d):
+    """Constraint rows for degree-d members, over the surviving unknowns.
+
+    Unknowns are the coefficients of p on x^j y^(d-j) for j >= m0 and of q
+    for j <= d - m1 (the axis conditions already consumed the rest), ordered
+    by ascending j with all p-unknowns before all q-unknowns.  Every further
+    line contributes min(m_i, d+1) rows: the low-order coefficients of
+    theta(alpha_i) after the change of variables sending alpha_i to the
+    first coordinate.
+    """
+    m0, m1 = ms[0], ms[1]
+    p_idx = [j for j in range(d + 1) if j >= m0]
+    q_idx = [j for j in range(d + 1) if j <= d - m1]
+    rows = []
+    for (a, b), mult in zip(lines[2:], ms[2:]):
+        # theta(a*x + b*y) = a*p + b*q; substitute x = u + b*v, y = -a*v and
+        # read off the coefficients of u^k v^(d-k) for k < mult.
+        for k in range(min(mult, d + 1)):
+            def transfer(j: int) -> int:
+                if k > j:
+                    return 0
+                return comb(j, k) * b ** (j - k) * (-a) ** (d - j)
+            rows.append([a * transfer(j) for j in p_idx]
+                        + [b * transfer(j) for j in q_idx])
+    return p_idx, q_idx, rows
+
+
+def _search_min_degree(lines, ms) -> int:
+    """Smallest degree whose linear system has a nonzero solution."""
+    for d in range(sum(ms) // 2 + 1):
+        unknowns = max(0, d + 1 - ms[0]) + max(0, d + 1 - ms[1])
+        if unknowns == 0:
+            continue
+        _, _, rows = _degree_system(lines, ms, d)
+        if Matrix(rows).rank() < unknowns:
+            return d
+    raise AssertionError("no derivation up to half the total multiplicity")
+
+
+def _kernel_derivations(lines, ms, d):
+    """All degree-d members as (p, q) pairs, canonical kernel basis order."""
+    p_idx, q_idx, rows = _degree_system(lines, ms, d)
+    unknowns = len(p_idx) + len(q_idx)
+    if unknowns == 0:
+        return []
+    if rows:
+        kernel = Matrix(rows).kernel_basis()
+    else:
+        kernel = [tuple(Fraction(1 if i == j else 0) for j in range(unknowns))
+                  for i in range(unknowns)]
+    out = []
+    for v in kernel:
+        p_terms = {(j, d - j): v[i] for i, j in enumerate(p_idx)}
+        q_terms = {(j, d - j): v[len(p_idx) + i] for i, j in enumerate(q_idx)}
+        out.append((HomPoly.from_terms(2, p_terms), HomPoly.from_terms(2, q_terms)))
+    return out
+
+
+def search_rank2_exponents(arr2, m) -> tuple[int, int]:
+    """(d1, d2) by the degree-by-degree search: one linear system per degree.
+
+    The package's rank-2 exponents before the order-basis sweep, kept as
+    the reference for it.
+    """
+    if arr2.n == 1:
+        return 0, m[0]
+    lines, ms, _ = _transformed_lines(arr2, m)
+    d1 = _search_min_degree(lines, ms)
+    return d1, sum(m) - d1
+
+
+def search_rank2_basis(arr2, m):
+    """theta1: the first RREF kernel vector of the degree-d1 system; theta2:
+    the first degree-d2 kernel vector whose determinant with theta1 is
+    nonzero.  Both in the input coordinates.
+
+    The package's rank-2 basis before the order-basis sweep, kept as the
+    reference for it.
+    """
+    lines, ms, change = _transformed_lines(arr2, m)
+    d1 = _search_min_degree(lines, ms)
+    t1 = _kernel_derivations(lines, ms, d1)[0]
+    for t2 in _kernel_derivations(lines, ms, sum(m) - d1):
+        if not poly_det([list(t1), list(t2)]).is_zero():
+            return tuple(substitution_to_original(t, Matrix(change)) for t in (t1, t2))
+    raise AssertionError("no degree-d2 partner with nonzero determinant")
+
+
+def wakamiko_exponents(m) -> tuple[int, int]:
+    """Exponents of three distinct lines under m, by Wakamiko's closed form.
+
+    Wakamiko, On the exponents of 2-multiarrangements (Tokyo J. Math. 2007):
+    (|m| - m_max, m_max) when 2 m_max >= |m|, else (floor(|m|/2), ceil(|m|/2)).
+    """
+    total, top = sum(m), max(m)
+    if 2 * top >= total:
+        return total - top, top
+    return total // 2, (total + 1) // 2
 
 
 def brute_rank2_flats(normals) -> list[tuple[int, ...]]:

@@ -199,7 +199,7 @@ def small_arrangements(draw):
 def test_span_key_names_the_plane():
     u, v = (1, -1, 0, 0), (0, 1, -1, 0)
     key = span_key(u, v)
-    assert key == (1, -1, 0, 1, 0, 0)
+    assert key == ((0, 1, 2), (1, -1, 1))
     assert span_key(v, u) == span_key((2, -1, -1, 0), (-1, 2, -1, 0)) == key
     assert span_key(u, (0, 0, 1, -1)) != key
     with pytest.raises(ValueError):

@@ -54,6 +54,18 @@ hyperplane 1 0 -7/4
 hyperplane 1/3 1/3 1/3 mult 2
 """
 
+# Five lines with multiplicities up to 12 whose two heaviest lines give a
+# conjugation of determinant -7, so the printed rank-2 basis passes through
+# a non-unimodular change of coordinates.
+_HEAVY_LINES = """\
+dim 2
+hyperplane 2 1 mult 12
+hyperplane 1 -3 mult 9
+hyperplane 3 2 mult 7
+hyperplane 1 1 mult 5
+hyperplane 4 -1 mult 3
+"""
+
 # saito-verify bases: input name -> basis name -> derivations, each given by
 # its components.  boolean2 is the axes.  Every basis also runs under
 # --mult, where "accepted-under-mult" is a basis and "accepted" is not.
@@ -106,6 +118,7 @@ def corpus() -> dict[str, str]:
         product(braid_arrangement(4), THREE_LINES))
     texts["non-essential"] = _NON_ESSENTIAL
     texts["rational"] = _RATIONAL
+    texts["heavy-lines"] = _HEAVY_LINES
     return texts
 
 

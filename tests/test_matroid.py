@@ -5,6 +5,7 @@ import random
 import time
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import totalfree
@@ -250,14 +251,35 @@ def test_cli_totally_free_cost_does_not_grow_with_ambient_dimension(tmp_path, ca
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("command", ["analyze", "lmp2"])
+def test_cli_rank2_flat_cost_does_not_grow_with_ambient_dimension(tmp_path, capsys, command):
+    """x_{d-3} - x_{d-2} and x_{d-2} - x_{d-1}: one rank-2 flat in the last coordinates."""
+    tail = [(1, -1, 0), (0, 1, -1)]
+    path = tmp_path / "two.arr"
+    path.write_text(format_arrangement(
+        arrangement(_BIG_DIM, [(0,) * (_BIG_DIM - 3) + t for t in tail])))
+    start = time.perf_counter()
+    code = main([command, "--json", "-i", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    if command == "analyze":
+        assert result["rank2_flats"] == [{"members": [0, 1], "size": 2}]
+    else:
+        assert result["per_flat"] == [{"members": [0, 1], "multiplicities": [1, 1],
+                                       "exponents": [1, 1], "product": 1}]
+    assert elapsed < 1.0
+
+
 # -- layering ------------------------------------------------------------------
 
 
 def test_structure_layer_does_not_use_matrix():
-    """Structure comes from integer pivots: ``arrangement`` and ``matroid``
-    never name the ``Fraction`` matrix class."""
+    """Structure comes from integer pivots and rank-2 exponents from the
+    integer sweep: ``arrangement``, ``matroid`` and ``rank2`` never name the
+    ``Fraction`` matrix class."""
     package = os.path.dirname(totalfree.__file__)
-    for module in ("arrangement.py", "matroid.py"):
+    for module in ("arrangement.py", "matroid.py", "rank2.py"):
         with open(os.path.join(package, module), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         names = {alias.name for node in ast.walk(tree)

@@ -1,6 +1,8 @@
 import random
 import warnings
 from fractions import Fraction
+from itertools import product as cartesian
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,9 +33,12 @@ from totalfree.poly import HomPoly, poly_det
 from totalfree.rank2 import _to_original
 from oracles import (
     reference_saito_verify,
+    search_rank2_basis,
+    search_rank2_exponents,
     substitution_divisible_by_power,
     substitution_to_original,
     target_product,
+    wakamiko_exponents,
 )
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
@@ -252,7 +257,43 @@ def conjugated_pairs(draw):
 @given(conjugated_pairs())
 def test_to_original_matches_substitution(case):
     pair, change = case
-    assert _to_original(pair, change) == substitution_to_original(pair, Matrix(change))
+    d = max(comp.degree for comp in pair)
+    den = lcm(*(c.denominator for comp in pair for c in comp.coeffs.values()))
+    ints = tuple([int(comp.coeffs.get((k, d - k), 0) * den) for k in range(d + 1)]
+                 for comp in pair)
+    assert _to_original(ints, den, change) == substitution_to_original(pair, Matrix(change))
+
+
+# -- order-basis sweep against the degree-by-degree search ------------------
+
+
+@st.composite
+def rank2_inputs(draw):
+    """(arr, m): 2-6 distinct lines with coefficients in [-9, 9], m in [1, 12]."""
+    normals = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any),
+                            min_size=2, max_size=6)
+                   .map(lambda rs: list(dict.fromkeys(normalize_hyperplane(r).normal
+                                                      for r in rs)))
+                   .filter(lambda ns: len(ns) >= 2))
+    m = tuple(draw(st.lists(st.integers(1, 12), min_size=len(normals),
+                            max_size=len(normals))))
+    return arrangement(2, normals), m
+
+
+@settings(max_examples=100)
+@given(rank2_inputs())
+def test_sweep_matches_degree_search(case):
+    arr, m = case
+    assert rank2_exponents(arr, m).as_tuple() == search_rank2_exponents(arr, m)
+    assert rank2_basis(arr, m) == search_rank2_basis(arr, m)
+
+
+@pytest.mark.parametrize("normals", [[(1, 0), (0, 1), (1, -1)], [(2, 1), (1, -3), (3, 2)]])
+def test_three_lines_match_wakamiko(normals):
+    arr = arrangement(2, normals)
+    mismatched = [m for m in cartesian(range(1, 16), repeat=3)
+                  if rank2_exponents(arr, m).as_tuple() != wakamiko_exponents(m)]
+    assert mismatched == []
 
 
 # -- seeded sweep ------------------------------------------------------------
