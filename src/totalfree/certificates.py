@@ -346,28 +346,39 @@ def nonfree_by_lmp_gmp(arr: Arrangement, m: Multiplicity
         return None
     value = lmp2(arr, m)
     total = sum(m)
-    upper = gmp2_max(rank, total)
-    if value <= upper:
+    if value <= gmp2_max(rank, total):
         return None
-    return NonFreenessCertificate(
+    return _certificate(value, rank, total, tuple(m), tuple(range(arr.n)))
+
+
+def _certificate(value: int, rank: int, total: int, multiplicity: Multiplicity,
+                 factor_indices: tuple[int, ...],
+                 circuit_indices: tuple[int, ...] | None = None,
+                 k0: int | None = None) -> NonFreenessCertificate:
+    """The LMP2>GMP2max certificate of exact LMP2 ``value`` on a factor of
+    this rank and total multiplicity; with a k0 it records the subset bound.
+    Every certificate the module returns is built here and rechecked."""
+    cert = NonFreenessCertificate(
         lmp2_lower=value,
         lmp2_is_exact=True,
-        gmp2_upper=upper,
+        gmp2_upper=gmp2_max(rank, total),
         rank=rank,
         total_multiplicity=total,
-        multiplicity=tuple(m),
+        multiplicity=multiplicity,
         explanation=CertificateExplanation(
             theorem="LMP2>GMP2max",
-            factor_indices=tuple(range(arr.n)),
-            circuit_indices=None,
-            k0=None,
-            subset_lower_bound=None,
+            factor_indices=factor_indices,
+            circuit_indices=circuit_indices,
+            k0=k0,
+            subset_lower_bound=None if k0 is None else comb(rank + 1, 2) * k0 * k0,
             gmp2_real_bound=gmp2_real_bound(rank, total),
         ),
     )
+    _emission_recheck(cert)
+    return cert
 
 
-def nonfree_multiplicity_family(arr: Arrangement, method: str = "proof"
+def nonfree_multiplicity_family(arr: Arrangement
                                 ) -> tuple[GenericCircuit, int, Multiplicity]:
     """Generic circuit B and the smallest k making (arr, m_k) certifiably non-free.
 
@@ -377,7 +388,7 @@ def nonfree_multiplicity_family(arr: Arrangement, method: str = "proof"
     gap guarantees k0 exists and the inequality persists for every k >= k0
     beyond the larger root of the real-bound quadratic.
     """
-    circuit = find_generic_circuit(arr, method)
+    circuit = find_generic_circuit(arr)
     rank = len(circuit.indices) - 1
     n = arr.n
     pairs = comb(rank + 1, 2)
@@ -445,26 +456,8 @@ def decide_totally_free(arr: Arrangement) -> Verdict:
     original = tuple(sorted(factor.indices[i] for i in circuit.indices))
     members = set(original)
     m_full = tuple(k0 if i in members else 1 for i in range(arr.n))
-    total = sum(m_factor)
-    exact = lmp2(factor.arrangement, m_factor)
-    subset_bound = comb(factor.rank + 1, 2) * k0 * k0
-    certificate = NonFreenessCertificate(
-        lmp2_lower=exact,
-        lmp2_is_exact=True,
-        gmp2_upper=gmp2_max(factor.rank, total),
-        rank=factor.rank,
-        total_multiplicity=total,
-        multiplicity=m_full,
-        explanation=CertificateExplanation(
-            theorem="LMP2>GMP2max",
-            factor_indices=factor.indices,
-            circuit_indices=original,
-            k0=k0,
-            subset_lower_bound=subset_bound,
-            gmp2_real_bound=gmp2_real_bound(factor.rank, total),
-        ),
-    )
-    _emission_recheck(certificate)
+    certificate = _certificate(lmp2(factor.arrangement, m_factor), factor.rank,
+                               sum(m_factor), m_full, factor.indices, original, k0)
     return Verdict(False, decomp, Witness(factor, circuit, original, k0, certificate))
 
 
@@ -490,7 +483,7 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     """Recompute a certificate through Saito-verified bases; True iff it stands.
 
     LMP2 is rebuilt flat by flat from actual basis derivations (each pair
-    checked by saito_verify inside rank2_basis), and the GMP2 maximum is
+    checked by saito_check inside rank2_basis), and the GMP2 maximum is
     checked against ``gmp2_max``, an O(1) closed form with its proof.
     Indices must be distinct and in range, multiplicities one positive int
     per hyperplane, the rank >= 1.
@@ -509,7 +502,7 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     recomputed = 0
     for flat in rank2_flats(sub):
         local_arr, local_m = localization(sub, m_sub, flat)
-        theta1, theta2 = rank2_basis(local_arr, local_m)
+        theta1, theta2 = rank2_basis(local_arr, local_m).thetas
         recomputed += theta1.degree * theta2.degree
     if cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
         return False

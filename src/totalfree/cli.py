@@ -5,7 +5,8 @@ and prints either aligned human-readable text or (with --json) a Report:
 a JSON object with command, input_summary, result and version, in which
 every number is an exact integer or a "p/q" rational string, never a float.
 
-Exit codes: 0 success, 1 input error, 3 NotTotallyFree under --strict.
+Exit codes: 0 success (--help and --version included), 1 input error
+(usage errors included), 3 NotTotallyFree under --strict.
 """
 
 from __future__ import annotations
@@ -224,8 +225,8 @@ def cmd_exponents(args) -> int:
         entry = {"indices": list(factor.indices), "rank": factor.rank,
                  "multiplicities": list(sub_m)}
         if factor.rank == 2:
-            theta1, theta2 = rank2_basis(factor.arrangement, sub_m)
-            check = saito_check(factor.arrangement, sub_m, (theta1, theta2))
+            check = rank2_basis(factor.arrangement, sub_m)
+            theta1, theta2 = check.thetas
             factorization = _saito_product(factor.arrangement, sub_m, check.constant)
             entry["basis"] = [_derivation_payload(theta1), _derivation_payload(theta2)]
             entry["saito_det"] = poly_to_str(check.det)
@@ -330,8 +331,7 @@ def cmd_witness(args) -> int:
     factor = next((f for f in decomp.factors if f.rank >= 3), None)
     if factor is None:
         raise ReducibleInputError("no irreducible factor of rank >= 3")
-    circuit_proof, k0, _ = nonfree_multiplicity_family(factor.arrangement,
-                                                       method="proof")
+    circuit_proof, k0, _ = nonfree_multiplicity_family(factor.arrangement)
     circuit_brute = find_generic_circuit(factor.arrangement, method="brute")
     check = circuit_is_nonfree_check(factor.rank)
 
@@ -564,8 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help or --version, 2 on bad usage
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InternalInvariantError:

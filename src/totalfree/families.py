@@ -16,9 +16,9 @@ def boolean_arrangement(dim: int) -> Arrangement:
 
 
 def braid_arrangement(dim: int) -> Arrangement:
-    """All x_i - x_j for 1 <= i < j <= dim, in ambient dimension dim (rank dim-1)."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    """All x_i - x_j for 1 <= i < j <= dim, in ambient dimension dim (rank max(dim-1, 0))."""
+    if dim < 0:
+        raise ValueError("dimension must be nonnegative")
     rows = []
     for i in range(dim):
         for j in range(i + 1, dim):

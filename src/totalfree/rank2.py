@@ -10,7 +10,8 @@ basis is canonical there (``rank2_basis``) and goes back to the input
 coordinates by an integer transform with adj(C) (``_to_original``).
 
 Saito's criterion is evaluated in one place, ``saito_check``: its SaitoCheck
-record holds every membership, the determinant and its constant.
+record holds the derivations, every membership, the determinant and its
+constant.  ``rank2_basis`` returns the record its basis passed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from math import gcd
 from .arrangement import (
     Arrangement,
     Derivation,
-    Hyperplane,
     IntVector,
     Multiplicity,
     check_multiplicity,
@@ -62,12 +62,12 @@ class ExponentPair:
         return (self.d1, self.d2)
 
 
-def _transformed_lines(arr2: Arrangement, m: Multiplicity
+def _transformed_lines(normals: tuple[IntVector, ...], m: Multiplicity
                        ) -> tuple[list[tuple[int, int]], list[int], Conjugation]:
     # Send the two highest-multiplicity lines to the axes.  This order fixes
     # the coordinates in which rank2_basis's printed basis is canonical.
-    order = sorted(range(arr2.n), key=lambda i: (-m[i], i))
-    normals = [arr2.hyperplanes[i].normal for i in order]
+    order = sorted(range(len(normals)), key=lambda i: (-m[i], i))
+    normals = [normals[i] for i in order]
     ms = [m[i] for i in order]
     # Columns are kernel vectors of the two normals: line 0 goes to the x-axis
     # and line 1 to the y-axis, and independence makes C invertible.
@@ -119,8 +119,7 @@ def _min_degree(normals: tuple[IntVector, ...], ms: tuple[int, ...]
     The name is older than the sweep: the benchmark reads this cache's
     ``cache_info()`` under it.
     """
-    arr2 = Arrangement(2, tuple(Hyperplane(n) for n in normals))
-    lines, mlist, _ = _transformed_lines(arr2, ms)
+    lines, mlist, _ = _transformed_lines(normals, ms)
     m0, m1 = mlist[0], mlist[1]
     degrees = [m0, m1]
     vectors = [([0] * m0 + [1], [0] * (m0 + 1)), ([0] * (m1 + 1), [1] + [0] * m1)]
@@ -207,7 +206,7 @@ def _clear(w: list[int], s: list[int], col: int) -> list[int]:
     return [x // g for x in out]
 
 
-def rank2_basis(arr2: Arrangement, m: Multiplicity) -> tuple[Derivation, Derivation]:
+def rank2_basis(arr2: Arrangement, m: Multiplicity) -> SaitoCheck:
     """A homogeneous basis of the derivation module of a rank-2 multiarrangement.
 
     theta1 and theta2 are the first reduced-echelon kernel vectors of the
@@ -216,15 +215,17 @@ def rank2_basis(arr2: Arrangement, m: Multiplicity) -> tuple[Derivation, Derivat
     stacked as p + q: theta1 is the d1 generator (at d1 = d2, the one with
     the smaller last nonzero column once they differ), theta2 the d2
     generator with the last columns of x^i y^(d2-d1-i) theta1 cleared,
-    highest i first; each over its last entry.  They pass saito_verify.
+    highest i first; each over its last entry.  Returns the verified
+    SaitoCheck of (theta1, theta2): the basis is its ``thetas``.
     """
     if arr2.dim != 2:
         raise DimensionMismatchError(f"ambient dimension {arr2.dim}, expected 2")
     if arr2.n < 2:
         raise ValueError("need at least two lines for a basis")
     check_multiplicity(arr2, m)
-    _, _, change = _transformed_lines(arr2, m)
-    (d1, p1, q1), (d2, p2, q2) = _min_degree(tuple(arr2.normals()), tuple(m))
+    normals = tuple(arr2.normals())
+    _, _, change = _transformed_lines(normals, m)
+    (d1, p1, q1), (d2, p2, q2) = _min_degree(normals, tuple(m))
     w1, w2 = list(p1 + q1), list(p2 + q2)
     if d1 == d2:
         w2 = _clear(w2, w1, _last(w1))
@@ -237,22 +238,24 @@ def rank2_basis(arr2: Arrangement, m: Multiplicity) -> tuple[Derivation, Derivat
         w2 = _clear(w2, shift, _last(shift))
     thetas = tuple(_to_original((w[:d + 1], w[d + 1:]), w[_last(w)], change)
                    for w, d in ((w1, d1), (w2, d2)))
-    if not saito_verify(arr2, m, thetas):
+    check = saito_check(arr2, m, thetas)
+    if not check.verified:
         raise InternalInvariantError("basis candidate failed the Saito check")
-    return thetas
+    return check
 
 
 @dataclass(frozen=True)
 class SaitoCheck:
     """Saito's criterion evaluated on derivations theta_1..theta_l of (A, m).
 
-    ``memberships[i][k]`` says whether theta_k sends alpha_{H_i} into
-    (alpha_{H_i}^{m_i}); ``det`` is the determinant of the coefficient
-    matrix; ``constant`` is the c != 0 with det = c * Q, Q = prod
-    alpha_H^{m(H)}, or None when det is not of that form (Saito's
-    criterion: Saito 1980; Ziegler 1989 for multiarrangements).
+    ``thetas`` holds the derivations; ``memberships[i][k]`` says whether
+    theta_k sends alpha_{H_i} into (alpha_{H_i}^{m_i}); ``det`` is the
+    determinant of the coefficient matrix; ``constant`` is the c != 0 with
+    det = c * Q, Q = prod alpha_H^{m(H)}, or None when det is not of that
+    form (Saito's criterion: Saito 1980; Ziegler 1989 for multiarrangements).
     """
 
+    thetas: tuple[Derivation, ...]
     memberships: tuple[tuple[bool, ...], ...]
     det: HomPoly
     constant: Fraction | None
@@ -296,7 +299,7 @@ def saito_check(arr: Arrangement, m: Multiplicity,
             lead[i] += mult
             scale *= h.normal[i] ** mult
         constant = det.coeffs[tuple(lead)] / scale
-    return SaitoCheck(memberships, det, constant)
+    return SaitoCheck(tuple(thetas), memberships, det, constant)
 
 
 def saito_verify(arr: Arrangement, m: Multiplicity,

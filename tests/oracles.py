@@ -359,7 +359,7 @@ def search_rank2_exponents(arr2, m) -> tuple[int, int]:
     """
     if arr2.n == 1:
         return 0, m[0]
-    lines, ms, _ = _transformed_lines(arr2, m)
+    lines, ms, _ = _transformed_lines(tuple(arr2.normals()), m)
     d1 = _search_min_degree(lines, ms)
     return d1, sum(m) - d1
 
@@ -372,7 +372,7 @@ def search_rank2_basis(arr2, m):
     The package's rank-2 basis before the order-basis sweep, kept as the
     reference for it.
     """
-    lines, ms, change = _transformed_lines(arr2, m)
+    lines, ms, change = _transformed_lines(tuple(arr2.normals()), m)
     d1 = _search_min_degree(lines, ms)
     t1 = _kernel_derivations(lines, ms, d1)[0]
     for t2 in _kernel_derivations(lines, ms, sum(m) - d1):

@@ -136,7 +136,7 @@ def test_criterion_3_rank2_saito_sweep():
                 if pair.d1 + pair.d2 != total:
                     ok = False
                 if arr.n >= 2:
-                    t1, t2 = rank2_basis(arr, m)
+                    t1, t2 = rank2_basis(arr, m).thetas
                     if not saito_verify(arr, m, (t1, t2)):
                         ok = False
                     if (t1.degree, t2.degree) != pair.as_tuple():

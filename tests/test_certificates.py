@@ -228,6 +228,19 @@ def test_k0_braid_s5():
     assert 10 * 31 * 31 > gmp2_max(4, 160) == 9600
 
 
+def test_lmp_gmp_certificate_passes_emission_recheck(monkeypatch):
+    import totalfree.certificates as certificates
+    arr = braid_arrangement(4)
+    _, k0, m = nonfree_multiplicity_family(arr)
+    calls = []
+    recheck = certificates._emission_recheck
+    monkeypatch.setattr(certificates, "_emission_recheck",
+                        lambda cert: calls.append(cert) or recheck(cert))
+    cert = nonfree_by_lmp_gmp(arr, m)
+    assert calls == [cert] and cert.multiplicity == m
+    assert cert.explanation.k0 is None and cert.explanation.subset_lower_bound is None
+
+
 def test_k0_rejects_rank2():
     with pytest.raises(ReducibleInputError):
         nonfree_multiplicity_family(THREE_LINES)

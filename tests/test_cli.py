@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import totalfree.rank2
 from totalfree import parse_arrangement, braid_arrangement, format_arrangement
 from totalfree.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -49,6 +53,12 @@ def test_generate_boolean(capsys):
     assert code == 0
     arr, _ = parse_arrangement(out)
     assert arr.dim == 3 and arr.normals() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("family", ["boolean", "braid"])
+def test_generate_dimension_zero(capsys, family):
+    code, out, _ = run(capsys, "generate", family, "0")
+    assert code == 0 and out == "dim 0\n"
 
 
 def test_generate_product(capsys):
@@ -195,6 +205,18 @@ def test_exponents_mult_override(tmp_path, capsys):
     assert json.loads(out)["result"]["exponents"] == [3, 5]
 
 
+@pytest.mark.parametrize("name", ["three-lines", "heavy-lines"])
+def test_exponents_evaluates_saito_once_per_rank2_factor(capsys, monkeypatch, name):
+    # Each input is one rank-2 factor; its basis comes with the record it passed.
+    calls = []
+    poly_det = totalfree.rank2.poly_det
+    monkeypatch.setattr(totalfree.rank2, "poly_det",
+                        lambda rows: calls.append(1) or poly_det(rows))
+    code, out, _ = run(capsys, "exponents", "-i", str(GOLDEN / f"{name}.arr"), "--json")
+    assert code == 0 and "saito_det" in json.loads(out)["result"]["factors"][0]
+    assert len(calls) == 1
+
+
 def test_exponents_braid_reports_certificate(tmp_path, capsys):
     path = braid_file(tmp_path)
     code, out, _ = run(capsys, "exponents", "-i", path, "--json")
@@ -239,6 +261,23 @@ def test_gmp2max_direct(capsys):
 def test_gmp2max_needs_input(capsys):
     code, _, err = run(capsys, "gmp2max")
     assert code == 1 and "needs either" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gmp2max", "--rank", "x", "--total", "3"],
+    ["exponents", "-i", str(GOLDEN / "three-lines.arr"), "--mult", "-1,2"],
+    ["analyze"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "usage:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
+def test_help_and_version_exit0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
 
 
 # -- witness -----------------------------------------------------------------

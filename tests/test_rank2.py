@@ -81,13 +81,13 @@ def test_exponents_rejects_wrong_dimension():
 
 
 def test_basis_axes():
-    t1, t2 = rank2_basis(AXES, (1, 1))
+    t1, t2 = rank2_basis(AXES, (1, 1)).thetas
     assert saito_verify(AXES, (1, 1), (t1, t2))
     assert {t1.degree, t2.degree} == {1}
 
 
 def test_basis_three_lines_simple():
-    t1, t2 = rank2_basis(THREE_LINES, (1, 1, 1))
+    t1, t2 = rank2_basis(THREE_LINES, (1, 1, 1)).thetas
     assert (t1.degree, t2.degree) == (1, 2)
     assert saito_verify(THREE_LINES, (1, 1, 1), (t1, t2))
     det = poly_det([[t1.components[0], t1.components[1]],
@@ -101,7 +101,7 @@ def test_basis_three_lines_simple():
 
 def test_basis_three_lines_double():
     m = (2, 2, 2)
-    t1, t2 = rank2_basis(THREE_LINES, m)
+    t1, t2 = rank2_basis(THREE_LINES, m).thetas
     assert (t1.degree, t2.degree) == (3, 3)
     assert saito_verify(THREE_LINES, m, (t1, t2))
 
@@ -202,7 +202,7 @@ def saito_inputs(draw):
                     .filter(lambda rs: len({normalize_hyperplane(r) for r in rs}) >= 2))
         arr = arrangement(2, dict.fromkeys(normalize_hyperplane(r).normal for r in rows))
         m = tuple(draw(st.lists(st.integers(1, 3), min_size=arr.n, max_size=arr.n)))
-        thetas = rank2_basis(arr, m)
+        thetas = rank2_basis(arr, m).thetas
     kind = draw(st.sampled_from(
         ["basis", "bumped", "repeated", "times-variable", "swapped", "plus-swap"]))
     k, j = draw(st.integers(0, 4)), draw(st.integers(0, arr.dim - 1))
@@ -285,7 +285,7 @@ def rank2_inputs(draw):
 def test_sweep_matches_degree_search(case):
     arr, m = case
     assert rank2_exponents(arr, m).as_tuple() == search_rank2_exponents(arr, m)
-    assert rank2_basis(arr, m) == search_rank2_basis(arr, m)
+    assert rank2_basis(arr, m).thetas == search_rank2_basis(arr, m)
 
 
 @pytest.mark.parametrize("normals", [[(1, 0), (0, 1), (1, -1)], [(2, 1), (1, -3), (3, 2)]])
@@ -316,7 +316,7 @@ def test_sweep_basis_and_degree_count():
             m = tuple(rng.randint(1, 4) for _ in range(arr.n))
             pair = rank2_exponents(arr, m)
             assert pair.d1 + pair.d2 == sum(m)
-            t1, t2 = rank2_basis(arr, m)
+            t1, t2 = rank2_basis(arr, m).thetas
             assert (t1.degree, t2.degree) == pair.as_tuple()
             assert saito_verify(arr, m, (t1, t2))
             assert is_member(t1, arr, m) and is_member(t2, arr, m)
