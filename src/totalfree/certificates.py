@@ -39,7 +39,7 @@ from .arrangement import (
 )
 from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
 from .matroid import Decomposition, Factor, connected_components, decompose
-from .rank2 import ExponentPair, rank2_basis, rank2_exponents
+from .rank2 import ExponentPair, _checked_degrees, rank2_exponents
 
 # -- mixed products ----------------------------------------------------------
 
@@ -480,11 +480,12 @@ def _emission_recheck(cert: NonFreenessCertificate) -> None:
 
 
 def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
-    """Recompute a certificate through Saito-verified bases; True iff it stands.
+    """Recompute a certificate through checked bases; True iff it stands.
 
-    LMP2 is rebuilt flat by flat from actual basis derivations (each pair
-    checked by saito_check inside rank2_basis), and the GMP2 maximum is
-    checked against ``gmp2_max``, an O(1) closed form with its proof.
+    LMP2 is rebuilt flat by flat from bases checked in integers, as binary
+    forms, by ``rank2._checked_degrees``; no HomPoly or Fraction is built.  The
+    GMP2 maximum is checked against ``gmp2_max``, an O(1) closed form with
+    its proof.
     Indices must be distinct and in range, multiplicities one positive int
     per hyperplane, the rank >= 1.
     """
@@ -502,8 +503,8 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     recomputed = 0
     for flat in rank2_flats(sub):
         local_arr, local_m = localization(sub, m_sub, flat)
-        theta1, theta2 = rank2_basis(local_arr, local_m).thetas
-        recomputed += theta1.degree * theta2.degree
+        d1, d2 = _checked_degrees(tuple(local_arr.normals()), local_m)
+        recomputed += d1 * d2
     if cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
         return False
     if recomputed < cert.lmp2_lower:

@@ -5,13 +5,13 @@ sweep (Beckermann-Labahn, SIAM J. Matrix Anal. Appl. 1994) imposes the lines'
 conditions one order at a time; the two generators it ends with are a
 homogeneous basis, so their degrees are the exponents (d1, d2), d1 + d2 =
 |m|.  It is integer arithmetic, and every division is exact by Gauss's lemma.
-It runs in coordinates where the two heaviest lines are the axes; the printed
-basis is canonical there (``rank2_basis``) and goes back to the input
-coordinates by an integer transform with adj(C) (``_to_original``).
+It runs in coordinates where the two heaviest lines are the axes.
 
-Saito's criterion is evaluated in one place, ``saito_check``: its SaitoCheck
-record holds the derivations, every membership, the determinant and its
-constant.  ``rank2_basis`` returns the record its basis passed.
+``_is_basis`` checks the sweep's generators as a basis there, in integers;
+``verify_certificate`` and ``rank2_basis`` take their verdict from it, and
+only ``rank2_basis`` builds HomPoly derivations, mapped back by adj(C)
+(``_to_original``), to print them.  ``saito_check`` evaluates Saito's
+criterion on derivations a user supplies, in any dimension.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .poly import HomPoly, divisible_by_power, poly_det
 
 ExponentMultiset = tuple[int, ...]
 Conjugation = tuple[tuple[int, int], tuple[int, int]]
+MAX_TRIVIAL_DIRECTIONS = 10**6  # exponents_totally_free lists a 0 for each
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,20 @@ class ExponentPair:
 
 
 def _transformed_lines(normals: tuple[IntVector, ...], m: Multiplicity
-                       ) -> tuple[list[tuple[int, int]], list[int], Conjugation]:
-    # Send the two highest-multiplicity lines to the axes.  This order fixes
-    # the coordinates in which rank2_basis's printed basis is canonical.
+                       ) -> tuple[list[int], list[tuple[int, int]], Conjugation]:
+    # lines[i] is normals[i] under x = C u, made primitive.  C sends the two
+    # highest-multiplicity lines, order[0] and order[1], to the axes; this
+    # order fixes the coordinates in which rank2_basis's basis is canonical.
     order = sorted(range(len(normals)), key=lambda i: (-m[i], i))
-    normals = [normals[i] for i in order]
-    ms = [m[i] for i in order]
     # Columns are kernel vectors of the two normals: line 0 goes to the x-axis
     # and line 1 to the y-axis, and independence makes C invertible.
-    (a0, b0), (a1, b1) = normals[0], normals[1]
+    (a0, b0), (a1, b1) = normals[order[0]], normals[order[1]]
     change = ((b1, b0), (-a1, -a0))
-    lines = []
-    for normal in normals:
-        image = [sum(normal[i] * change[i][j] for i in range(2))
-                 for j in range(2)]
-        lines.append(normalize_hyperplane(image).normal)
-    if lines[0] != (1, 0) or lines[1] != (0, 1):
+    lines = [normalize_hyperplane([sum(normal[i] * change[i][j] for i in range(2))
+                                   for j in range(2)]).normal for normal in normals]
+    if lines[order[0]] != (1, 0) or lines[order[1]] != (0, 1):
         raise InternalInvariantError("conjugation did not produce the axes")
-    return lines, ms, change
+    return order, lines, change
 
 
 def _times_linear(coeffs: list[int], form: tuple[int, int]) -> list[int]:
@@ -119,11 +116,11 @@ def _min_degree(normals: tuple[IntVector, ...], ms: tuple[int, ...]
     The name is older than the sweep: the benchmark reads this cache's
     ``cache_info()`` under it.
     """
-    lines, mlist, _ = _transformed_lines(normals, ms)
-    m0, m1 = mlist[0], mlist[1]
+    order, lines, _ = _transformed_lines(normals, ms)
+    m0, m1 = ms[order[0]], ms[order[1]]
     degrees = [m0, m1]
     vectors = [([0] * m0 + [1], [0] * (m0 + 1)), ([0] * (m1 + 1), [1] + [0] * m1)]
-    for (a, b), mult in zip(lines[2:], mlist[2:]):
+    for (a, b), mult in ((lines[i], ms[i]) for i in order[2:]):
         if a == 0 or b == 0:
             raise InternalInvariantError("line collides with a conjugated axis")
         hs = [[a * pc + b * qc for pc, qc in zip(p, q)] for p, q in vectors]
@@ -206,6 +203,57 @@ def _clear(w: list[int], s: list[int], col: int) -> list[int]:
     return [x // g for x in out]
 
 
+def _member(p: list[int], q: list[int], a: int, b: int, mult: int) -> bool:
+    """Does p d/dx + q d/dy send the primitive form a*x + b*y into its mult-th power?"""
+    if not b:
+        return not any(p[:mult])  # x^mult divides a*p
+    if not a:
+        return not any(q[-mult:])  # y^mult divides b*q
+    h = [a * pc + b * qc for pc, qc in zip(p, q)]
+    for _ in range(mult):
+        if _residual(h, a, b):
+            return False
+        h = _divide_linear(h, a, b)
+    return True
+
+
+def _is_basis(normals: tuple[IntVector, ...], m: Multiplicity, lines: list[tuple[int, int]],
+              change: Conjugation, gens: list[tuple[list[int], list[int]]]) -> bool:
+    """True iff the binary forms ``gens`` are a basis of D(A, m) under x = C u.
+
+    Nothing is taken on trust from the sweep: det C != 0; each line is
+    primitive and proportional to its normal times C; each generator is a
+    member on every line; det(gens) != 0; and the degrees sum to |m|, which
+    with the rest makes a basis (the degree-sum form of Saito's criterion:
+    Ziegler 1989; Abe-Terao-Wakefield 2007).
+    """
+    (c00, c01), (c10, c11) = change
+    if c00 * c11 == c01 * c10 or any(len(p) != len(q) for p, q in gens):
+        return False
+    for (n0, n1), (a, b), mult in zip(normals, lines, m, strict=True):
+        if gcd(a, b) != 1 or a * (n0 * c01 + n1 * c11) != b * (n0 * c00 + n1 * c10):
+            return False
+        if not all(_member(p, q, a, b, mult) for p, q in gens):
+            return False
+    (p1, q1), (p2, q2) = gens
+    # Only nonzero terms: on two or three lines the generators are nearly monomials.
+    terms = [(j, pj, qj) for j, (pj, qj) in enumerate(zip(p2, q2)) if pj or qj]
+    det = [0] * (len(p1) + len(p2) - 1)
+    for i, (pi, qi) in enumerate(zip(p1, q1)):
+        for j, pj, qj in terms:
+            det[i + j] += pi * qj - qi * pj
+    return len(det) - 1 == sum(m) and any(det)
+
+
+def _checked_degrees(normals: tuple[IntVector, ...], m: Multiplicity) -> tuple[int, int]:
+    """The degrees of the sweep's generators on >= 2 lines, once ``_is_basis`` holds."""
+    _, lines, change = _transformed_lines(normals, m)
+    gens = [(list(p), list(q)) for _, p, q in _min_degree(normals, tuple(m))]
+    if not _is_basis(normals, m, lines, change, gens):
+        raise InternalInvariantError("the sweep's generators failed the basis check")
+    return len(gens[0][0]) - 1, len(gens[1][0]) - 1
+
+
 def rank2_basis(arr2: Arrangement, m: Multiplicity) -> SaitoCheck:
     """A homogeneous basis of the derivation module of a rank-2 multiarrangement.
 
@@ -215,8 +263,8 @@ def rank2_basis(arr2: Arrangement, m: Multiplicity) -> SaitoCheck:
     stacked as p + q: theta1 is the d1 generator (at d1 = d2, the one with
     the smaller last nonzero column once they differ), theta2 the d2
     generator with the last columns of x^i y^(d2-d1-i) theta1 cleared,
-    highest i first; each over its last entry.  Returns the verified
-    SaitoCheck of (theta1, theta2): the basis is its ``thetas``.
+    highest i first; each over its last entry.  Returns the SaitoCheck of
+    (theta1, theta2), its ``thetas``, with the memberships ``_is_basis`` proved.
     """
     if arr2.dim != 2:
         raise DimensionMismatchError(f"ambient dimension {arr2.dim}, expected 2")
@@ -224,6 +272,7 @@ def rank2_basis(arr2: Arrangement, m: Multiplicity) -> SaitoCheck:
         raise ValueError("need at least two lines for a basis")
     check_multiplicity(arr2, m)
     normals = tuple(arr2.normals())
+    _checked_degrees(normals, m)  # the verdict, on the cached generators read below
     _, _, change = _transformed_lines(normals, m)
     (d1, p1, q1), (d2, p2, q2) = _min_degree(normals, tuple(m))
     w1, w2 = list(p1 + q1), list(p2 + q2)
@@ -238,10 +287,7 @@ def rank2_basis(arr2: Arrangement, m: Multiplicity) -> SaitoCheck:
         w2 = _clear(w2, shift, _last(shift))
     thetas = tuple(_to_original((w[:d + 1], w[d + 1:]), w[_last(w)], change)
                    for w, d in ((w1, d1), (w2, d2)))
-    check = saito_check(arr2, m, thetas)
-    if not check.verified:
-        raise InternalInvariantError("basis candidate failed the Saito check")
-    return check
+    return _saito_record(arr2, m, thetas, ((True, True),) * arr2.n)
 
 
 @dataclass(frozen=True)
@@ -288,6 +334,12 @@ def saito_check(arr: Arrangement, m: Multiplicity,
     check_multiplicity(arr, m)
     memberships = tuple(tuple(is_member_at(theta, h, mult) for theta in thetas)
                         for h, mult in zip(arr.hyperplanes, m))
+    return _saito_record(arr, m, tuple(thetas), memberships)
+
+
+def _saito_record(arr: Arrangement, m: Multiplicity, thetas: tuple[Derivation, ...],
+                  memberships: tuple[tuple[bool, ...], ...]) -> SaitoCheck:
+    """The SaitoCheck of ``thetas`` with the given memberships; see saito_check."""
     det = poly_det([theta.components for theta in thetas])
     constant = None
     if det.degree == sum(m) and (all(map(all, memberships)) or all(
@@ -299,7 +351,7 @@ def saito_check(arr: Arrangement, m: Multiplicity,
             lead[i] += mult
             scale *= h.normal[i] ** mult
         constant = det.coeffs[tuple(lead)] / scale
-    return SaitoCheck(tuple(thetas), memberships, det, constant)
+    return SaitoCheck(thetas, memberships, det, constant)
 
 
 def saito_verify(arr: Arrangement, m: Multiplicity,
@@ -314,10 +366,14 @@ def exponents_totally_free(arr: Arrangement, m: Multiplicity) -> ExponentMultise
     Concatenates per-factor exponents of the product decomposition: a rank-1
     factor contributes its hyperplane's multiplicity, a rank-2 factor its
     searched exponent pair, and each trivial direction a 0.  Raises
-    NotTotallyFreeError when some irreducible factor has rank >= 3.
+    NotTotallyFreeError when some irreducible factor has rank >= 3, and
+    ValueError on more than MAX_TRIVIAL_DIRECTIONS trivial directions.
     """
     check_multiplicity(arr, m)
     decomp = decompose(arr)
+    if decomp.trivial_directions > MAX_TRIVIAL_DIRECTIONS:
+        raise ValueError(f"{decomp.trivial_directions} trivial directions, one exponent 0 "
+                         f"each; at most {MAX_TRIVIAL_DIRECTIONS} are listed")
     if decomp.max_factor_rank() > 2:
         bad = next(f for f in decomp.factors if f.rank >= 3)
         raise NotTotallyFreeError(

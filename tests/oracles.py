@@ -351,6 +351,12 @@ def _kernel_derivations(lines, ms, d):
     return out
 
 
+def _axes_first(arr2, m):
+    """The conjugated lines and their multiplicities, the two axes first, and C."""
+    order, lines, change = _transformed_lines(tuple(arr2.normals()), m)
+    return [lines[i] for i in order], [m[i] for i in order], change
+
+
 def search_rank2_exponents(arr2, m) -> tuple[int, int]:
     """(d1, d2) by the degree-by-degree search: one linear system per degree.
 
@@ -359,7 +365,7 @@ def search_rank2_exponents(arr2, m) -> tuple[int, int]:
     """
     if arr2.n == 1:
         return 0, m[0]
-    lines, ms, _ = _transformed_lines(tuple(arr2.normals()), m)
+    lines, ms, _ = _axes_first(arr2, m)
     d1 = _search_min_degree(lines, ms)
     return d1, sum(m) - d1
 
@@ -372,7 +378,7 @@ def search_rank2_basis(arr2, m):
     The package's rank-2 basis before the order-basis sweep, kept as the
     reference for it.
     """
-    lines, ms, change = _transformed_lines(tuple(arr2.normals()), m)
+    lines, ms, change = _axes_first(arr2, m)
     d1 = _search_min_degree(lines, ms)
     t1 = _kernel_derivations(lines, ms, d1)[0]
     for t2 in _kernel_derivations(lines, ms, sum(m) - d1):

@@ -1,9 +1,11 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import totalfree.rank2
 from totalfree import (
     ReducibleInputError,
     arrangement,
@@ -430,6 +432,33 @@ def test_verify_rejects_shifted_gmp2_upper_at_rank_5():
     for shift in shifts:
         shifted = dataclasses.replace(cert, gmp2_upper=cert.gmp2_upper + shift)
         assert verify_certificate(arr, shifted) is False
+
+
+def test_verify_braid_8_cold_under_half_a_second():
+    arr = braid_arrangement(8)
+    cert = decide_totally_free(arr).witness.certificate
+    totalfree.rank2._min_degree.cache_clear()
+    start = time.perf_counter()
+    assert verify_certificate(arr, cert) is True
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_verify_rejects_inexact_lmp2_and_changed_multiplicity(dim):
+    arr = braid_arrangement(dim)
+    cert = dataclasses.replace(decide_totally_free(arr).witness.certificate, lmp2_is_exact=True)
+    assert verify_certificate(arr, cert) is True
+    for shift in (-1, 1):
+        shifted = dataclasses.replace(cert, lmp2_lower=cert.lmp2_lower + shift)
+        assert verify_certificate(arr, shifted) is False
+    # A lower bound stands only while it is not claimed exact.
+    lowered = dataclasses.replace(cert, lmp2_lower=cert.lmp2_lower - 1, lmp2_is_exact=False)
+    assert verify_certificate(arr, lowered) is True
+    # One unit moved off a heavy hyperplane keeps |m| and GMP2max but not LMP2.
+    heavy, light = cert.multiplicity.index(max(cert.multiplicity)), cert.multiplicity.index(1)
+    m = list(cert.multiplicity)
+    m[heavy], m[light] = m[heavy] - 1, m[light] + 1
+    assert verify_certificate(arr, _with_multiplicity(cert, tuple(m))) is False
 
 
 def test_certificate_inequality_enforced_at_construction():

@@ -217,6 +217,16 @@ def test_exponents_evaluates_saito_once_per_rank2_factor(capsys, monkeypatch, na
     assert len(calls) == 1
 
 
+def test_exponents_refuses_too_many_trivial_directions(tmp_path, capsys):
+    # One exponent 0 per trivial direction would be 10**11 list entries.
+    path = write(tmp_path, "huge.arr", "dim 99999999999\n")
+    code, out, err = run(capsys, "exponents", "-i", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: 99999999999 trivial directions")
+    code, out, _ = run(capsys, "totally-free", "-i", path)
+    assert code == 0 and "trivial directions: 99999999999" in out
+
+
 def test_exponents_braid_reports_certificate(tmp_path, capsys):
     path = braid_file(tmp_path)
     code, out, _ = run(capsys, "exponents", "-i", path, "--json")

@@ -30,7 +30,13 @@ from totalfree import (
 )
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
-from totalfree.rank2 import _to_original
+from totalfree.rank2 import (
+    MAX_TRIVIAL_DIRECTIONS,
+    _is_basis,
+    _min_degree,
+    _to_original,
+    _transformed_lines,
+)
 from oracles import (
     reference_saito_verify,
     search_rank2_basis,
@@ -288,6 +294,68 @@ def test_sweep_matches_degree_search(case):
     assert rank2_basis(arr, m).thetas == search_rank2_basis(arr, m)
 
 
+# -- the integer basis check against saito_check ------------------------------
+
+
+def _sweep(arr, m):
+    """(normals, lines, C, generators as (p, q) lists) of the sweep on (arr, m)."""
+    normals = tuple(arr.normals())
+    _, lines, change = _transformed_lines(normals, m)
+    return normals, lines, change, [(list(p), list(q)) for _, p, q in _min_degree(normals, m)]
+
+
+def _times_monomial(gen, i, j):
+    """x^i y^j times the generator (p, q)."""
+    return tuple([0] * i + w + [0] * j for w in gen)
+
+
+@st.composite
+def checked_bases(draw):
+    """(arr, m, lines, C, gens): the sweep's generators on rank2_inputs, or with
+    one entry of a generator moved by 1 (usually a non-member), the second
+    replaced by a monomial times the first (det 0), or one times x or y (the
+    degrees then sum to |m| + 1)."""
+    arr, m = draw(rank2_inputs())
+    _, lines, change, gens = _sweep(arr, m)
+    kind = draw(st.sampled_from(["basis", "perturbed", "multiple", "degree"]))
+    k = draw(st.integers(0, 1))
+    if kind == "perturbed":
+        w = gens[k][draw(st.integers(0, 1))]
+        w[draw(st.integers(0, len(w) - 1))] += draw(st.sampled_from([-1, 1]))
+    elif kind == "multiple":
+        delta = len(gens[1][0]) - len(gens[0][0])
+        i = draw(st.integers(0, delta))
+        gens[1] = _times_monomial(gens[0], i, delta - i)
+    elif kind == "degree":
+        i = draw(st.integers(0, 1))
+        gens[k] = _times_monomial(gens[k], i, 1 - i)
+    return arr, m, lines, change, gens
+
+
+@settings(max_examples=200)
+@given(checked_bases())
+def test_integer_basis_check_matches_saito_check(case):
+    arr, m, lines, change, gens = case
+    thetas = tuple(_to_original(gen, 1, change) for gen in gens)
+    verdict = _is_basis(tuple(arr.normals()), m, lines, change, gens)
+    assert verdict == saito_check(arr, m, thetas).verified
+
+
+@settings(max_examples=50)
+@given(rank2_inputs())
+def test_integer_basis_check_rejects_wrong_conjugation(case):
+    arr, m = case
+    normals, lines, change, gens = _sweep(arr, m)
+    assert _is_basis(normals, m, lines, change, gens)
+    # 2C sends every normal to a multiple of its line: still a conjugation.
+    assert _is_basis(normals, m, lines, tuple(tuple(2 * c for c in row) for row in change), gens)
+    (c00, c01), (c10, c11) = change
+    # C with its columns swapped sends the x-axis' normal onto the y-axis, and
+    # a singular C sends every normal onto one line.
+    for wrong in (((c01, c00), (c11, c10)), ((c00, 2 * c00), (c10, 2 * c10))):
+        assert not _is_basis(normals, m, lines, wrong, gens)
+
+
 @pytest.mark.parametrize("normals", [[(1, 0), (0, 1), (1, -1)], [(2, 1), (1, -3), (3, 2)]])
 def test_three_lines_match_wakamiko(normals):
     arr = arrangement(2, normals)
@@ -358,6 +426,13 @@ def test_exponents_product():
 def test_exponents_with_trivial_directions():
     arr = arrangement(3, [(1, 0, 0), (0, 1, 0), (1, -1, 0)])
     assert exponents_totally_free(arr, (1, 1, 1)) == (0, 1, 2)
+
+
+def test_exponents_trivial_direction_limit():
+    limit = MAX_TRIVIAL_DIRECTIONS
+    assert exponents_totally_free(arrangement(limit, []), ()) == (0,) * limit
+    with pytest.raises(ValueError, match=f"{limit + 1} trivial directions"):
+        exponents_totally_free(arrangement(limit + 1, []), ())
 
 
 def test_exponents_sum_identity():
