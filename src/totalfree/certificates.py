@@ -39,7 +39,7 @@ from .arrangement import (
 )
 from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
 from .matroid import Decomposition, Factor, connected_components, decompose
-from .rank2 import ExponentPair, _checked_degrees, rank2_exponents
+from .rank2 import ExponentPair, rank2_exponents
 
 # -- mixed products ----------------------------------------------------------
 
@@ -482,14 +482,18 @@ def _emission_recheck(cert: NonFreenessCertificate) -> None:
 def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     """Recompute a certificate through checked bases; True iff it stands.
 
-    LMP2 is rebuilt flat by flat from bases checked in integers, as binary
-    forms, by ``rank2._checked_degrees``; no HomPoly or Fraction is built.  The
-    GMP2 maximum is checked against ``gmp2_max``, an O(1) closed form with
-    its proof.
-    Indices must be distinct and in range, multiplicities one positive int
-    per hyperplane, the rank >= 1.
+    LMP2 is rebuilt by ``lmp2``, whose rank-2 exponents come only from
+    bases checked in integers, as binary forms, before they were cached
+    (``rank2._min_degree``); no HomPoly or Fraction is built.  The GMP2
+    maximum is checked against ``gmp2_max``, an O(1) closed form with its
+    proof.  Indices must be distinct ints in range, multiplicities one
+    positive int per hyperplane, and the rank, LMP2, GMP2 and total ints,
+    the rank >= 1; anything else is False.
     """
     indices = cert.explanation.factor_indices
+    numbers = (*indices, cert.rank, cert.lmp2_lower, cert.gmp2_upper, cert.total_multiplicity)
+    if any(type(x) is not int for x in numbers):
+        return False
     try:
         check_multiplicity(arr, cert.multiplicity)
     except (DimensionMismatchError, ValueError):
@@ -500,11 +504,7 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     m_sub = tuple(cert.multiplicity[i] for i in indices)
     if sum(m_sub) != cert.total_multiplicity or sub.rank() != cert.rank or cert.rank < 1:
         return False
-    recomputed = 0
-    for flat in rank2_flats(sub):
-        local_arr, local_m = localization(sub, m_sub, flat)
-        d1, d2 = _checked_degrees(tuple(local_arr.normals()), local_m)
-        recomputed += d1 * d2
+    recomputed = lmp2(sub, m_sub)
     if cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
         return False
     if recomputed < cert.lmp2_lower:

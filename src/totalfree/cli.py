@@ -464,7 +464,7 @@ def cmd_generate(args) -> int:
 
 def parse_basis_file(text: str, dim: int):
     """Parse derivation blocks: a ``derivation`` line, then ``component i: <poly>``."""
-    blocks: list[dict[int, HomPoly]] = []
+    blocks: list[tuple[int, dict[int, HomPoly]]] = []  # (header line, components)
     current: dict[int, HomPoly] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -472,7 +472,7 @@ def parse_basis_file(text: str, dim: int):
             continue
         if line == "derivation":
             current = {}
-            blocks.append(current)
+            blocks.append((lineno, current))
             continue
         match = re.fullmatch(r"component\s+([0-9]+)\s*:\s*(.*)", line)
         if not match:
@@ -490,12 +490,12 @@ def parse_basis_file(text: str, dim: int):
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
     thetas = []
-    for block in blocks:
+    for header, block in blocks:
         comps = [block.get(i, HomPoly.zero(dim)) for i in range(dim)]
         try:
             thetas.append(derivation(comps))
         except ValueError as exc:
-            raise ParseError(f"bad derivation block: {exc}") from None
+            raise ParseError(f"bad derivation block: {exc}", header) from None
     return thetas
 
 

@@ -7,11 +7,13 @@ homogeneous basis, so their degrees are the exponents (d1, d2), d1 + d2 =
 |m|.  It is integer arithmetic, and every division is exact by Gauss's lemma.
 It runs in coordinates where the two heaviest lines are the axes.
 
-``_is_basis`` checks the sweep's generators as a basis there, in integers;
-``verify_certificate`` and ``rank2_basis`` take their verdict from it, and
-only ``rank2_basis`` builds HomPoly derivations, mapped back by adj(C)
-(``_to_original``), to print them.  ``saito_check`` evaluates Saito's
-criterion on derivations a user supplies, in any dimension.
+``_min_degree`` checks its generators as a basis there, in integers
+(``_is_basis``), before it returns and caches them, so every exponent pair
+read from it is checked: ``rank2_exponents``, ``lmp2`` and
+``verify_certificate`` build no polynomial object.  Only ``rank2_basis``
+builds HomPoly derivations, mapped back by adj(C) (``_to_original``), to
+print them.  ``saito_check`` evaluates Saito's criterion on derivations a
+user supplies, in any dimension.
 """
 
 from __future__ import annotations
@@ -113,10 +115,13 @@ def _min_degree(normals: tuple[IntVector, ...], ms: tuple[int, ...]
     generator v keeps h = theta_v(L) / L^k and r = h(b, -a).  An order's
     pivot is the least-degree v with r != 0; the other becomes (-a)^delta
     r_piv v - r y^delta v_piv over its content, and the pivot becomes L v.
-    The name is older than the sweep: the benchmark reads this cache's
+    The generators pass ``_is_basis`` before they are returned, or
+    InternalInvariantError is raised, so the cache holds checked bases only;
+    the check is a function of the key, so once per key is enough.  The
+    name is older than the sweep: the benchmark reads this cache's
     ``cache_info()`` under it.
     """
-    order, lines, _ = _transformed_lines(normals, ms)
+    order, lines, change = _transformed_lines(normals, ms)
     m0, m1 = ms[order[0]], ms[order[1]]
     degrees = [m0, m1]
     vectors = [([0] * m0 + [1], [0] * (m0 + 1)), ([0] * (m1 + 1), [1] + [0] * m1)]
@@ -141,6 +146,8 @@ def _min_degree(normals: tuple[IntVector, ...], ms: tuple[int, ...]
                 hs[o] = _divide_linear(hs[o], a, b)
             vectors[piv] = tuple(_times_linear(w, (a, b)) for w in vectors[piv])
             degrees[piv] += 1
+    if not _is_basis(normals, ms, lines, change, vectors):
+        raise InternalInvariantError("the sweep's generators failed the basis check")
     return tuple(sorted((d, tuple(p), tuple(q)) for d, (p, q) in zip(degrees, vectors)))
 
 
@@ -245,15 +252,6 @@ def _is_basis(normals: tuple[IntVector, ...], m: Multiplicity, lines: list[tuple
     return len(det) - 1 == sum(m) and any(det)
 
 
-def _checked_degrees(normals: tuple[IntVector, ...], m: Multiplicity) -> tuple[int, int]:
-    """The degrees of the sweep's generators on >= 2 lines, once ``_is_basis`` holds."""
-    _, lines, change = _transformed_lines(normals, m)
-    gens = [(list(p), list(q)) for _, p, q in _min_degree(normals, tuple(m))]
-    if not _is_basis(normals, m, lines, change, gens):
-        raise InternalInvariantError("the sweep's generators failed the basis check")
-    return len(gens[0][0]) - 1, len(gens[1][0]) - 1
-
-
 def rank2_basis(arr2: Arrangement, m: Multiplicity) -> SaitoCheck:
     """A homogeneous basis of the derivation module of a rank-2 multiarrangement.
 
@@ -264,7 +262,8 @@ def rank2_basis(arr2: Arrangement, m: Multiplicity) -> SaitoCheck:
     the smaller last nonzero column once they differ), theta2 the d2
     generator with the last columns of x^i y^(d2-d1-i) theta1 cleared,
     highest i first; each over its last entry.  Returns the SaitoCheck of
-    (theta1, theta2), its ``thetas``, with the memberships ``_is_basis`` proved.
+    (theta1, theta2), its ``thetas``, with the memberships that ``_is_basis``
+    proved on the generators before ``_min_degree`` cached them.
     """
     if arr2.dim != 2:
         raise DimensionMismatchError(f"ambient dimension {arr2.dim}, expected 2")
@@ -272,7 +271,6 @@ def rank2_basis(arr2: Arrangement, m: Multiplicity) -> SaitoCheck:
         raise ValueError("need at least two lines for a basis")
     check_multiplicity(arr2, m)
     normals = tuple(arr2.normals())
-    _checked_degrees(normals, m)  # the verdict, on the cached generators read below
     _, _, change = _transformed_lines(normals, m)
     (d1, p1, q1), (d2, p2, q2) = _min_degree(normals, tuple(m))
     w1, w2 = list(p1 + q1), list(p2 + q2)

@@ -7,6 +7,7 @@ import pytest
 
 import totalfree.rank2
 from totalfree import (
+    InternalInvariantError,
     ReducibleInputError,
     arrangement,
     boolean_arrangement,
@@ -28,6 +29,8 @@ from totalfree import (
     nonfree_multiplicity_family,
     normalize_hyperplane,
     product,
+    rank2_basis,
+    rank2_exponents,
     restriction,
     subarrangement,
     verify_certificate,
@@ -412,14 +415,52 @@ def _moved(cert, amount):
     lambda c: _moved(c, Fraction(1, 2)),
     lambda c: dataclasses.replace(_with_indices(c, ()), rank=0, total_multiplicity=0,
                                   lmp2_lower=0, gmp2_upper=-1),
+    lambda c: _with_indices(c, (0.0,) + c.explanation.factor_indices[1:]),
+    lambda c: _with_indices(c, (True,) + c.explanation.factor_indices[1:]),
+    lambda c: dataclasses.replace(c, rank=float(c.rank)),
+    lambda c: dataclasses.replace(c, lmp2_lower=float(c.lmp2_lower)),
+    lambda c: dataclasses.replace(c, total_multiplicity=float(c.total_multiplicity)),
+    lambda c: dataclasses.replace(c, gmp2_upper=float(c.gmp2_upper)),
 ], ids=["index-out-of-range", "negative-index", "repeated-index", "short-multiplicity",
         "long-multiplicity", "zero-multiplicity", "negative-multiplicity",
-        "fractional-multiplicity", "rank-zero"])
+        "fractional-multiplicity", "rank-zero", "float-index", "bool-index", "float-rank",
+        "float-lmp2", "float-total", "float-gmp2"])
 def test_verify_rejects_malformed_certificate(tamper):
     arr = braid_arrangement(4)
     cert = decide_totally_free(arr).witness.certificate
     assert verify_certificate(arr, cert) is True
     assert verify_certificate(arr, tamper(cert)) is False
+
+
+@pytest.mark.parametrize("call", [
+    lambda cert: rank2_exponents(THREE_LINES, (2, 2, 2)),
+    lambda cert: lmp2(braid_arrangement(4), (1,) * 6),
+    lambda cert: decide_totally_free(braid_arrangement(4)),
+    lambda cert: rank2_basis(THREE_LINES, (2, 2, 2)),
+    lambda cert: verify_certificate(braid_arrangement(4), cert),
+], ids=["rank2_exponents", "lmp2", "decide_totally_free", "rank2_basis",
+        "verify_certificate"])
+def test_basis_check_runs_on_every_cache_fill(monkeypatch, call):
+    cert = decide_totally_free(braid_arrangement(4)).witness.certificate
+    monkeypatch.setattr(totalfree.rank2, "_is_basis", lambda *args: False)
+    totalfree.rank2._min_degree.cache_clear()
+    with pytest.raises(InternalInvariantError):
+        call(cert)
+    assert totalfree.rank2._min_degree.cache_info().currsize == 0
+
+
+def test_basis_check_runs_once_per_cache_miss(monkeypatch):
+    arr = braid_arrangement(5)
+    cert = decide_totally_free(arr).witness.certificate
+    checked = []
+    is_basis = totalfree.rank2._is_basis
+    monkeypatch.setattr(totalfree.rank2, "_is_basis",
+                        lambda *args: checked.append(args) or is_basis(*args))
+    totalfree.rank2._min_degree.cache_clear()
+    assert verify_certificate(arr, cert) and verify_certificate(arr, cert)
+    info = totalfree.rank2._min_degree.cache_info()
+    assert info.misses > 0 and info.hits >= info.misses
+    assert len(checked) == info.misses
 
 
 def test_verify_rejects_shifted_gmp2_upper_at_rank_5():

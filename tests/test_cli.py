@@ -365,3 +365,12 @@ def test_saito_verify_bad_basis_file(tmp_path, capsys):
     basis = write(tmp_path, "basis.txt", "component 1: x1\n")
     code, _, err = run(capsys, "saito-verify", "-i", arr, "--basis", basis)
     assert code == 1 and "derivation" in err
+
+
+def test_saito_verify_mixed_degree_block_names_its_line(tmp_path, capsys):
+    arr = write(tmp_path, "axes.arr", AXES_TEXT)
+    basis = write(tmp_path, "basis.txt", "derivation\ncomponent 1: x1\n\n"
+                                         "derivation\ncomponent 1: x1\ncomponent 2: x2^2\n")
+    code, out, err = run(capsys, "saito-verify", "-i", arr, "--basis", basis)
+    assert code == 1 and out == ""
+    assert err == "error: line 4: bad derivation block: components of mixed degrees [1, 2]\n"
