@@ -303,16 +303,14 @@ def rank2_flats(arr: Arrangement) -> list[Flat2]:
             for members in groups.values()]
 
 
-def localization(arr: Arrangement, m: Multiplicity, flat: Flat2
-                 ) -> tuple[Arrangement, Multiplicity]:
-    """The rank-2 multiarrangement seen in the coordinates of a flat's span.
+def localization(arr: Arrangement, flat: Flat2) -> Arrangement:
+    """The flat's members, in order, as lines in the coordinates of its span.
 
     For the span basis (u, v) and the first coordinates (p, q) of their
     support with D = u_p v_q - u_q v_p nonzero, member a is
     ((a ^ v) u + (u ^ a) v) / D, wedges taken on (p, q); D cancels in the
     normalization of the rows.
     """
-    check_multiplicity(arr, m)
     u, v = flat.span_basis
     if len(u) != arr.dim or len(v) != arr.dim:
         raise MalformedFlatError(f"span basis arity is not the dimension {arr.dim}")
@@ -321,7 +319,7 @@ def localization(arr: Arrangement, m: Multiplicity, flat: Flat2
                     for q in cols[k + 1:] if u[p] * v[q] != u[q] * v[p]), (0, 0, 0))
     if d == 0:
         raise MalformedFlatError("span basis is not two independent covectors")
-    rows, mult = [], []
+    rows = []
     for k in flat.members:
         if not 0 <= k < arr.n:
             raise MalformedFlatError(f"member index {k} out of range")
@@ -330,8 +328,7 @@ def localization(arr: Arrangement, m: Multiplicity, flat: Flat2
         if any(d * a_i != c1 * u_i + c2 * v_i for a_i, u_i, v_i in zip(a, u, v)):
             raise MalformedFlatError(f"hyperplane {k} does not lie in the flat's span")
         rows.append((c1, c2))
-        mult.append(m[k])
-    return arrangement(2, rows), tuple(mult)
+    return arrangement(2, rows)
 
 
 def subarrangement(arr: Arrangement, indices: Sequence[int]) -> Arrangement:

@@ -50,8 +50,8 @@ def lmp2_breakdown(arr: Arrangement, m: Multiplicity
     check_multiplicity(arr, m)
     out = []
     for flat in rank2_flats(arr):
-        local_arr, local_m = localization(arr, m, flat)
-        out.append((flat, rank2_exponents(local_arr, local_m)))
+        local_m = tuple(m[k] for k in flat.members)
+        out.append((flat, rank2_exponents(localization(arr, flat), local_m)))
     return out
 
 
@@ -148,8 +148,8 @@ def _all_triples_rank3(arr: Arrangement, indices) -> bool:
                for a, b, c in combinations(normals, 3))
 
 
-def _require_connected_rank3(arr: Arrangement) -> None:
-    """Shared precondition of the witness operations.
+def _require_connected_rank3(arr: Arrangement) -> int:
+    """Shared precondition of the witness operations; returns the rank.
 
     Essentiality is not required: trivial directions change neither ranks
     nor circuits, and the matroid is all that matters here.
@@ -161,12 +161,13 @@ def _require_connected_rank3(arr: Arrangement) -> None:
         raise ReducibleInputError(f"rank {rank} < 3: no irreducible factor of rank >= 3")
     if len(connected_components(arr)) != 1:
         raise ReducibleInputError("arrangement is reducible")
+    return rank
 
 
-def _brute_circuit(arr: Arrangement) -> list[int]:
+def _brute_circuit(arr: Arrangement, rank: int) -> list[int]:
     """Lexicographically first (rank+1)-subset whose triples all have rank 3."""
     n = arr.n
-    size = arr.rank() + 1
+    size = rank + 1
     chosen: list[int] = []
 
     def extend(start: int) -> list[int] | None:
@@ -189,17 +190,17 @@ def _brute_circuit(arr: Arrangement) -> list[int]:
     return found
 
 
-def _proof_circuit(arr: Arrangement) -> list[int]:
+def _proof_circuit(arr: Arrangement, rank: int) -> list[int]:
     """Deletion/restriction induction; returns indices into ``arr``.
 
     Mirrors the inductive argument: delete the first hyperplane if that
     keeps the matroid connected, otherwise recurse into the restriction
     (connected by the deletion/contraction alternative of matroid
-    connectivity) and lift back through smallest preimages.
-    Rank 3 is the base of the induction, split into the all-images-distinct
-    case and the collision case.
+    connectivity) and lift back through smallest preimages.  A connected
+    matroid has no coloop, so deletion keeps ``rank`` and restriction
+    lowers it by one.  Rank 3 is the base of the induction, split into the
+    all-images-distinct case and the collision case.
     """
-    rank = arr.rank()
     n = arr.n
     if n == rank + 1:
         if not _all_triples_rank3(arr, range(n)):
@@ -207,8 +208,8 @@ def _proof_circuit(arr: Arrangement) -> list[int]:
                 "connected arrangement of size rank+1 with a dependent triple")
         return list(range(n))
     deleted = deletion(arr, 0)
-    if deleted.rank() == rank and len(connected_components(deleted)) == 1:
-        return [i + 1 for i in _proof_circuit(deleted)]
+    if len(connected_components(deleted)) == 1:
+        return [i + 1 for i in _proof_circuit(deleted, rank)]
     restr = restriction(arr, 0)
     if len(connected_components(restr.arrangement)) != 1:
         raise InternalInvariantError(
@@ -245,7 +246,7 @@ def _proof_circuit(arr: Arrangement) -> list[int]:
             if _all_triples_rank3(arr, candidate):
                 return sorted(candidate)
         raise InternalInvariantError("collision case produced no valid quadruple")
-    sub = _proof_circuit(restr.arrangement)
+    sub = _proof_circuit(restr.arrangement, rank - 1)
     lifted = [0]
     for r_idx in sub:
         lifted.append(next(i for i in range(1, n) if imap[i] == r_idx))
@@ -259,11 +260,11 @@ def find_generic_circuit(arr: Arrangement, method: str = "proof") -> GenericCirc
     brute-force lexicographic scan; both outputs satisfy the triple
     invariant but need not coincide.
     """
-    _require_connected_rank3(arr)
+    rank = _require_connected_rank3(arr)
     if method == "proof":
-        indices = _proof_circuit(arr)
+        indices = _proof_circuit(arr, rank)
     elif method == "brute":
-        indices = _brute_circuit(arr)
+        indices = _brute_circuit(arr, rank)
     else:
         raise ValueError(f"unknown method {method!r}")
     circuit = GenericCircuit(tuple(sorted(indices)))
@@ -489,6 +490,11 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     proof.  Indices must be distinct ints in range, multiplicities one
     positive int per hyperplane, and the rank, LMP2, GMP2 and total ints,
     the rank >= 1; anything else is False.
+
+    The indices must be closed: every other hyperplane raises the rank.
+    A closed set is a localization A_X, and localization keeps a
+    multiarrangement free (Ziegler 1989), so LMP2 > GMP2max on it refutes
+    freeness of the whole; on another subset it refutes nothing.
     """
     indices = cert.explanation.factor_indices
     numbers = (*indices, cert.rank, cert.lmp2_lower, cert.gmp2_upper, cert.total_multiplicity)
@@ -503,6 +509,9 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     sub = subarrangement(arr, indices)
     m_sub = tuple(cert.multiplicity[i] for i in indices)
     if sum(m_sub) != cert.total_multiplicity or sub.rank() != cert.rank or cert.rank < 1:
+        return False
+    if any(subarrangement(arr, (*indices, i)).rank() == cert.rank
+           for i in range(arr.n) if i not in indices):
         return False
     recomputed = lmp2(sub, m_sub)
     if cert.lmp2_is_exact and recomputed != cert.lmp2_lower:

@@ -12,10 +12,10 @@ Exit codes: 0 success (--help and --version included), 1 input error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,22 +57,13 @@ from .matroid import decompose
 # -- report plumbing ---------------------------------------------------------
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, HomPoly):
-        return poly_to_str(value)
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _rational(value: Fraction) -> int | str:
+    """An exact rational as JSON: an integer, or a "p/q" string."""
+    return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def make_report(command: str, arr: Arrangement | None, result) -> dict:
-    report = {"command": command, "result": _jsonable(result), "version": __version__}
+def make_report(command: str, arr: Arrangement | None, result: dict) -> dict:
+    report = {"command": command, "result": result, "version": __version__}
     if arr is not None:
         report["input_summary"] = {"dim": arr.dim, "n": arr.n, "rank": arr.rank()}
     return report
@@ -92,7 +83,7 @@ def certificate_payload(cert: NonFreenessCertificate) -> dict:
         "multiplicity_vector": list(cert.multiplicity),
         "factor_indices": list(expl.factor_indices),
         "subset_lower_bound": expl.subset_lower_bound,
-        "gmp2_real_bound": _jsonable(expl.gmp2_real_bound),
+        "gmp2_real_bound": _rational(expl.gmp2_real_bound),
     }
 
 
@@ -184,7 +175,7 @@ def cmd_analyze(args) -> int:
     }
     report = make_report("analyze", arr, result)
     human = "\n".join([
-        f"input: dim {arr.dim}, {arr.n} hyperplanes, rank {arr.rank()}",
+        f"input: dim {arr.dim}, {arr.n} hyperplanes, rank {report['input_summary']['rank']}",
         f"rank-2 flats: {len(flats)} with sizes "
         f"{sorted((f['size'] for f in flats), reverse=True)}",
         _human_verdict(result["verdict"]),
@@ -230,7 +221,7 @@ def cmd_exponents(args) -> int:
             factorization = _saito_product(factor.arrangement, sub_m, check.constant)
             entry["basis"] = [_derivation_payload(theta1), _derivation_payload(theta2)]
             entry["saito_det"] = poly_to_str(check.det)
-            entry["saito_constant"] = _jsonable(check.constant)
+            entry["saito_constant"] = _rational(check.constant)
             entry["saito_factorization"] = factorization
             human_lines.append(
                 f"factor {list(factor.indices)} (rank 2): exponents "
@@ -312,13 +303,13 @@ def cmd_gmp2max(args) -> int:
     value = gmp2_max(rank, total)
     bound = gmp2_real_bound(rank, total)
     payload = {"rank": rank, "total_multiplicity": total, "gmp2_max": value,
-               "gmp2_real_bound": _jsonable(bound)}
+               "gmp2_real_bound": _rational(bound)}
     if outcome is not None:
         payload["outcome"] = outcome
         payload["certificate"] = cert_payload
     report = make_report("gmp2max", arr, payload)
     human = (f"GMP2max(rank {rank}, total {total}) = {value}"
-             f"   (real bound {_jsonable(bound)})")
+             f"   (real bound {_rational(bound)})")
     if outcome is not None:
         human += f"\noutcome: {outcome}"
     _emit(args, report, human)
@@ -346,8 +337,8 @@ def cmd_witness(args) -> int:
         "circuit_proof_following": to_original(circuit_proof),
         "circuit_brute_force": to_original(circuit_brute),
         "circuit_check": {"lmp2": check.lmp2,
-                          "gmp2_real_bound": _jsonable(check.gmp2_real_bound),
-                          "gap": _jsonable(check.gap)},
+                          "gmp2_real_bound": _rational(check.gmp2_real_bound),
+                          "gap": _rational(check.gap)},
         "k0": k0,
         "multiplicity_vector": list(m_full),
     }
@@ -357,7 +348,7 @@ def cmd_witness(args) -> int:
         f"generic circuit (proof-following): {payload['circuit_proof_following']}",
         f"generic circuit (brute-force):     {payload['circuit_brute_force']}",
         f"circuit check: LMP2 {check.lmp2} vs real GMP2 bound "
-        f"{_jsonable(check.gmp2_real_bound)}, gap {_jsonable(check.gap)}",
+        f"{_rational(check.gmp2_real_bound)}, gap {_rational(check.gap)}",
         f"k0: {k0}",
         f"non-free multiplicity: {list(m_full)}",
     ])
@@ -502,7 +493,9 @@ def parse_basis_file(text: str, dim: int):
 # -- entry point -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: built once per process, it keeps no parse state."""
     parser = argparse.ArgumentParser(
         prog="totalfree",
         description="Exact total-freeness decisions and non-freeness "

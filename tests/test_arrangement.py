@@ -223,12 +223,10 @@ def test_rank2_structure_matches_fraction_reference(arr):
 @given(small_arrangements())
 def test_localization_matches_fraction_rref(arr):
     normals = arr.normals()
-    m = tuple(range(1, arr.n + 1))
     for f in rank2_flats(arr):
-        local, mult = localization(arr, m, f)
+        local = localization(arr, f)
         assert local.dim == 2
         assert local.normals() == rref_localization(normals, f.members, *f.span_basis)
-        assert mult == tuple(m[k] for k in f.members)
 
 
 def test_flats_partition_pairs():
@@ -252,26 +250,21 @@ def test_flats_partition_pairs():
 def test_localization_braid_triple():
     arr = braid_arrangement(4)
     flat = next(f for f in rank2_flats(arr) if f.members == (0, 1, 3))
-    local, mult = localization(arr, (1,) * 6, flat)
+    local = localization(arr, flat)
     assert local.dim == 2 and local.n == 3
-    assert mult == (1, 1, 1)
 
 
-def test_localization_pair_keeps_multiplicities():
+def test_localization_pair_is_two_independent_lines():
     arr = braid_arrangement(4)
     flat = next(f for f in rank2_flats(arr) if len(f.members) == 2)
-    m = (1, 2, 3, 4, 5, 6)
-    local, mult = localization(arr, m, flat)
+    local = localization(arr, flat)
     assert local.n == 2
-    assert mult == tuple(m[i] for i in flat.members)
     assert Matrix(local.normals()).rank() == 2
 
 
 def test_localization_of_rank2_arrangement_is_itself():
     (flat,) = rank2_flats(THREE_LINES)
-    local, mult = localization(THREE_LINES, (2, 3, 4), flat)
-    assert local == THREE_LINES
-    assert mult == (2, 3, 4)
+    assert localization(THREE_LINES, flat) == THREE_LINES
 
 
 @pytest.mark.parametrize("members, basis, message", [
@@ -283,7 +276,7 @@ def test_localization_of_rank2_arrangement_is_itself():
 def test_localization_rejects_foreign_flat(members, basis, message):
     from totalfree import Flat2
     with pytest.raises(MalformedFlatError, match=message):
-        localization(braid_arrangement(4), (1,) * 6, Flat2(members, basis))
+        localization(braid_arrangement(4), Flat2(members, basis))
 
 
 # -- product -----------------------------------------------------------------

@@ -4,9 +4,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import totalfree.rank2
 from totalfree import (
+    Arrangement,
     InternalInvariantError,
     ReducibleInputError,
     arrangement,
@@ -15,6 +17,7 @@ from totalfree import (
     circuit_is_nonfree_check,
     decide_totally_free,
     deletion,
+    essentialize,
     find_generic_circuit,
     generic_arrangement,
     gmp2_from_exponents,
@@ -35,7 +38,8 @@ from totalfree import (
     subarrangement,
     verify_certificate,
 )
-from oracles import exhaustive_e2_max, random_invertible
+from totalfree.certificates import _certificate
+from oracles import exhaustive_e2_max, fraction_rank, random_invertible
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -175,6 +179,17 @@ def test_find_circuit_case1_branch():
     circuit = find_generic_circuit(arr, method="proof")
     assert circuit.indices == (0, 1, 2, 4)
     assert is_generic_circuit(arr, circuit.indices)
+
+
+def test_circuit_search_computes_the_rank_once(monkeypatch):
+    calls = []
+    rank = Arrangement.rank
+    monkeypatch.setattr(Arrangement, "rank", lambda self: calls.append(self) or rank(self))
+    for dim, expected in ((5, (2, 5, 6, 7, 8)), (7, (4, 9, 13, 16, 17, 18, 19))):
+        arr = essentialize(braid_arrangement(dim))
+        calls.clear()
+        assert find_generic_circuit(arr).indices == expected
+        assert len(calls) <= 2  # the precondition and the is_generic_circuit postcondition
 
 
 def test_find_circuit_fuzz_random_connected():
@@ -534,3 +549,55 @@ def test_subarrangement_certificate_path():
     cert = verdict.witness.certificate
     sub = subarrangement(arr, cert.explanation.factor_indices)
     assert sub == arr
+
+
+# -- certificates sit on closed index sets -----------------------------------
+
+
+def _closure(arr, indices) -> tuple[int, ...]:
+    """The indices of every hyperplane in the span of these (rational reference)."""
+    normals = [arr.hyperplanes[i].normal for i in indices]
+    rank = fraction_rank(normals, arr.dim)
+    return tuple(i for i, h in enumerate(arr.hyperplanes)
+                 if i in indices or fraction_rank(normals + [h.normal], arr.dim) == rank)
+
+
+def test_verify_rejects_generic_circuit_of_free_braid_4():
+    # Braid dim 4 with m = 1 is free, but its generic circuit (0, 1, 4, 5)
+    # alone has LMP2 6 > 5 = GMP2max(3, 4); hyperplanes 2 and 3 lie in its span.
+    arr = braid_arrangement(4)
+    cert = _certificate(6, 3, 4, (1,) * 6, (0, 1, 4, 5))
+    assert _closure(arr, (0, 1, 4, 5)) == tuple(range(6))
+    assert verify_certificate(arr, cert) is False
+
+
+@st.composite
+def _subset_certificates(draw):
+    """A small arrangement, a multiplicity, and an index subset, closed or not."""
+    if draw(st.booleans()):
+        arr = braid_arrangement(draw(st.sampled_from([4, 5])))
+    else:
+        dim = draw(st.integers(3, 4))
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                             min_size=4, max_size=7))
+        arr = arrangement(dim, dict.fromkeys(normalize_hyperplane(r).normal
+                                             for r in rows if any(r)))
+    m = tuple(draw(st.lists(st.integers(1, 4), min_size=arr.n, max_size=arr.n)))
+    chosen = draw(st.lists(st.booleans(), min_size=arr.n, max_size=arr.n))
+    indices = tuple(i for i, c in enumerate(chosen) if c)
+    return arr, m, _closure(arr, indices) if draw(st.booleans()) else indices
+
+
+@settings(max_examples=500)
+@given(_subset_certificates())
+def test_verify_accepts_exactly_the_closed_subsets(case):
+    arr, m, indices = case
+    sub = subarrangement(arr, indices)
+    rank, total = sub.rank(), sum(m[i] for i in indices)
+    value = lmp2(sub, tuple(m[i] for i in indices))
+    if rank < 3 or value <= gmp2_max(rank, total):
+        return  # no certificate to build; rank <= 2 never has one
+    cert = _certificate(value, rank, total, m, indices)
+    closed = _closure(arr, indices) == indices
+    event(f"closed={closed}")
+    assert verify_certificate(arr, cert) is closed

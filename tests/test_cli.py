@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 import totalfree.rank2
-from totalfree import parse_arrangement, braid_arrangement, format_arrangement
-from totalfree.cli import main
+from totalfree import __version__, parse_arrangement, braid_arrangement, format_arrangement
+from totalfree.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -288,6 +288,16 @@ def test_usage_errors_exit1(capsys, argv):
 def test_help_and_version_exit0(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out
+
+
+def test_one_parser_keeps_no_option_between_calls(tmp_path, capsys):
+    path = braid_file(tmp_path)
+    assert run(capsys, "totally-free", "-i", path, "--strict")[0] == 3
+    assert run(capsys, "totally-free", "-i", path)[0] == 0
+    assert run(capsys, "--version")[:2] == (0, __version__ + "\n")
+    code, out, _ = run(capsys, "analyze", "-i", path)
+    assert code == 0 and "NotTotallyFree" in out
+    assert build_parser() is build_parser()
 
 
 # -- witness -----------------------------------------------------------------
