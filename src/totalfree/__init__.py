@@ -20,9 +20,7 @@ from .arrangement import (
     deletion,
     derivation,
     essentialize,
-    euler_derivation,
     format_arrangement,
-    is_member,
     localization,
     normalize_hyperplane,
     parse_arrangement,
@@ -33,14 +31,12 @@ from .arrangement import (
 )
 from .certificates import (
     CircuitCheck,
-    GenericCircuit,
     NonFreenessCertificate,
     Verdict,
     Witness,
     circuit_is_nonfree_check,
     decide_totally_free,
     find_generic_circuit,
-    gmp2_from_exponents,
     gmp2_max,
     gmp2_max_exhaustive,
     gmp2_real_bound,
@@ -68,7 +64,6 @@ from .matroid import (
     Factor,
     connected_components,
     decompose,
-    is_irreducible,
 )
 from .poly import HomPoly, divisible_by_power, parse_poly, poly_det, poly_to_str
 from .rank2 import (

@@ -133,9 +133,6 @@ class Derivation:
     def dim(self) -> int:
         return len(self.components)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
     def apply_to(self, covector: Sequence[Scalar]) -> HomPoly:
         """Value on the linear form with the given coefficients."""
         if len(covector) != self.dim:
@@ -157,26 +154,9 @@ def derivation(components: Sequence[HomPoly]) -> Derivation:
     return Derivation(comps, degrees.pop() if degrees else -1)
 
 
-def euler_derivation(dim: int) -> Derivation:
-    return derivation([HomPoly.variable(dim, i) for i in range(dim)])
-
-
 def is_member_at(theta: Derivation, h: Hyperplane, mult: int) -> bool:
     """True iff theta(alpha_H) is divisible by alpha_H^mult."""
     return divisible_by_power(theta.apply_to(h.normal), h.linear_form(), mult)
-
-
-def is_member(theta: Derivation, arr: Arrangement, m: Multiplicity) -> bool:
-    """Membership in the logarithmic derivation module of ``(arr, m)``.
-
-    True iff for every hyperplane H the value of ``theta`` on the defining
-    form of H is divisible by that form raised to the multiplicity of H.
-    """
-    if theta.dim != arr.dim:
-        raise DimensionMismatchError(
-            f"derivation in {theta.dim} variables on a dimension-{arr.dim} arrangement")
-    check_multiplicity(arr, m)
-    return all(is_member_at(theta, h, mult) for h, mult in zip(arr.hyperplanes, m))
 
 
 # -- structural operations -------------------------------------------------
@@ -212,7 +192,6 @@ class Restriction:
     """
 
     arrangement: Arrangement
-    basis: tuple[IntVector, ...]     # integer basis of the restricted-to hyperplane
     index_map: tuple[int | None, ...]
 
 
@@ -243,8 +222,7 @@ def restriction(arr: Arrangement, h0: int) -> Restriction:
             index_of[img.normal] = len(images)
             images.append(img)
         index_map.append(index_of[img.normal])
-    return Restriction(Arrangement(arr.dim - 1, tuple(images)), tuple(basis),
-                       tuple(index_map))
+    return Restriction(Arrangement(arr.dim - 1, tuple(images)), tuple(index_map))
 
 
 def product(a1: Arrangement, a2: Arrangement) -> Arrangement:
@@ -260,10 +238,9 @@ def product(a1: Arrangement, a2: Arrangement) -> Arrangement:
 
 @dataclass(frozen=True)
 class Flat2:
-    """Closed rank-2 flat: member indices plus two spanning normals."""
+    """Closed rank-2 flat: its member indices, ascending."""
 
     members: tuple[int, ...]
-    span_basis: tuple[IntVector, IntVector]
 
 
 def span_key(u: Sequence[int], v: Sequence[int]) -> tuple[IntVector, IntVector]:
@@ -299,31 +276,29 @@ def rank2_flats(arr: Arrangement) -> list[Flat2]:
             members = groups.setdefault(span_key(normals[i], normals[j]), [i])
             if members[0] == i:
                 members.append(j)
-    return [Flat2(tuple(members), (normals[members[0]], normals[members[1]]))
-            for members in groups.values()]
+    return [Flat2(tuple(members)) for members in groups.values()]
 
 
 def localization(arr: Arrangement, flat: Flat2) -> Arrangement:
     """The flat's members, in order, as lines in the coordinates of its span.
 
-    For the span basis (u, v) and the first coordinates (p, q) of their
-    support with D = u_p v_q - u_q v_p nonzero, member a is
-    ((a ^ v) u + (u ^ a) v) / D, wedges taken on (p, q); D cancels in the
-    normalization of the rows.
+    The normals u, v of the first two members span the flat.  For the first
+    coordinates (p, q) of their support with D = u_p v_q - u_q v_p nonzero,
+    member a is ((a ^ v) u + (u ^ a) v) / D, wedges taken on (p, q); D
+    cancels in the normalization of the rows.
     """
-    u, v = flat.span_basis
-    if len(u) != arr.dim or len(v) != arr.dim:
-        raise MalformedFlatError(f"span basis arity is not the dimension {arr.dim}")
+    members = flat.members
+    if len(members) < 2 or members[0] == members[1]:
+        raise MalformedFlatError(f"members {members} do not start with two distinct indices")
+    if min(members) < 0 or max(members) >= arr.n:
+        raise MalformedFlatError(f"member index out of range 0..{arr.n - 1} in {members}")
+    normals = [arr.hyperplanes[k].normal for k in members]
+    u, v = normals[0], normals[1]  # independent: distinct hyperplanes of an arrangement
     cols = [i for i, (x, y) in enumerate(zip(u, v)) if x or y]
-    d, p, q = next(((u[p] * v[q] - u[q] * v[p], p, q) for k, p in enumerate(cols)
-                    for q in cols[k + 1:] if u[p] * v[q] != u[q] * v[p]), (0, 0, 0))
-    if d == 0:
-        raise MalformedFlatError("span basis is not two independent covectors")
+    d, p, q = next((u[p] * v[q] - u[q] * v[p], p, q) for k, p in enumerate(cols)
+                   for q in cols[k + 1:] if u[p] * v[q] != u[q] * v[p])
     rows = []
-    for k in flat.members:
-        if not 0 <= k < arr.n:
-            raise MalformedFlatError(f"member index {k} out of range")
-        a = arr.hyperplanes[k].normal
+    for k, a in zip(members, normals):
         c1, c2 = a[p] * v[q] - a[q] * v[p], u[p] * a[q] - u[q] * a[p]
         if any(d * a_i != c1 * u_i + c2 * v_i for a_i, u_i, v_i in zip(a, u, v)):
             raise MalformedFlatError(f"hyperplane {k} does not lie in the flat's span")

@@ -60,12 +60,6 @@ def lmp2(arr: Arrangement, m: Multiplicity) -> int:
     return sum(pair.product for _, pair in lmp2_breakdown(arr, m))
 
 
-def gmp2_from_exponents(exponents: tuple[int, ...]) -> int:
-    """Second global mixed product: elementary symmetric e2 of the exponents."""
-    s = sum(exponents)
-    return (s * s - sum(d * d for d in exponents)) // 2
-
-
 def gmp2_max(rank: int, total: int) -> int:
     """Exact maximum of e2 over nonnegative integer rank-tuples summing to total.
 
@@ -123,13 +117,6 @@ def gmp2_max_exhaustive(rank: int, total: int, limit: int = 500_000) -> int | No
 
 
 # -- generic circuits --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GenericCircuit:
-    """rank+1 hyperplane indices, every three of rank 3."""
-
-    indices: tuple[int, ...]
 
 
 def is_generic_circuit(arr: Arrangement, indices: tuple[int, ...]) -> bool:
@@ -253,8 +240,9 @@ def _proof_circuit(arr: Arrangement, rank: int) -> list[int]:
     return sorted(lifted)
 
 
-def find_generic_circuit(arr: Arrangement, method: str = "proof") -> GenericCircuit:
-    """Generic circuit of a connected arrangement of rank >= 3.
+def find_generic_circuit(arr: Arrangement, method: str = "proof") -> tuple[int, ...]:
+    """Generic circuit of a connected arrangement of rank >= 3: rank+1
+    sorted hyperplane indices, every three of rank 3.
 
     ``method`` selects the proof-following induction (default) or the
     brute-force lexicographic scan; both outputs satisfy the triple
@@ -267,8 +255,8 @@ def find_generic_circuit(arr: Arrangement, method: str = "proof") -> GenericCirc
         indices = _brute_circuit(arr, rank)
     else:
         raise ValueError(f"unknown method {method!r}")
-    circuit = GenericCircuit(tuple(sorted(indices)))
-    if not is_generic_circuit(arr, circuit.indices):
+    circuit = tuple(sorted(indices))
+    if not is_generic_circuit(arr, circuit):
         raise InternalInvariantError(f"{method} circuit fails the triple condition")
     return circuit
 
@@ -380,7 +368,7 @@ def _certificate(value: int, rank: int, total: int, multiplicity: Multiplicity,
 
 
 def nonfree_multiplicity_family(arr: Arrangement
-                                ) -> tuple[GenericCircuit, int, Multiplicity]:
+                                ) -> tuple[tuple[int, ...], int, Multiplicity]:
     """Generic circuit B and the smallest k making (arr, m_k) certifiably non-free.
 
     m_k puts k on B and 1 elsewhere.  k0 is the least k with
@@ -390,7 +378,7 @@ def nonfree_multiplicity_family(arr: Arrangement
     beyond the larger root of the real-bound quadratic.
     """
     circuit = find_generic_circuit(arr)
-    rank = len(circuit.indices) - 1
+    rank = len(circuit) - 1
     n = arr.n
     pairs = comb(rank + 1, 2)
     # Termination cap from the real-bound quadratic c2*k^2 - c1*k - c0.
@@ -407,7 +395,7 @@ def nonfree_multiplicity_family(arr: Arrangement
         k += 1
         if k > cap:
             raise InternalInvariantError("k0 search exceeded its provable cap")
-    members = set(circuit.indices)
+    members = set(circuit)
     m = tuple(k if i in members else 1 for i in range(n))
     return circuit, k, m
 
@@ -420,7 +408,7 @@ class Witness:
     """Everything needed to refute total freeness of the input."""
 
     factor: Factor
-    circuit: GenericCircuit              # indices into factor.arrangement
+    circuit: tuple[int, ...]             # indices into factor.arrangement
     circuit_original: tuple[int, ...]    # the same hyperplanes as input indices
     k0: int
     certificate: NonFreenessCertificate
@@ -454,7 +442,7 @@ def decide_totally_free(arr: Arrangement) -> Verdict:
         return Verdict(True, decomp, None)
     factor = next(f for f in decomp.factors if f.rank >= 3)
     circuit, k0, m_factor = nonfree_multiplicity_family(factor.arrangement)
-    original = tuple(sorted(factor.indices[i] for i in circuit.indices))
+    original = tuple(sorted(factor.indices[i] for i in circuit))
     members = set(original)
     m_full = tuple(k0 if i in members else 1 for i in range(arr.n))
     certificate = _certificate(lmp2(factor.arrangement, m_factor), factor.rank,

@@ -48,10 +48,10 @@ from .errors import (
     ReducibleInputError,
     TotalFreeError,
 )
-from .families import boolean_arrangement, braid_arrangement, generic_arrangement
+from .families import boolean_arrangement, braid_arrangement, check_size, generic_arrangement
 from .poly import HomPoly, parse_poly, poly_to_str
 from .rank2 import exponents_totally_free, rank2_basis, saito_check
-from .matroid import decompose
+from .matroid import Decomposition, decompose
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -62,11 +62,16 @@ def _rational(value: Fraction) -> int | str:
     return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def make_report(command: str, arr: Arrangement | None, result: dict) -> dict:
+def make_report(command: str, arr: Arrangement | None, rank: int, result: dict) -> dict:
+    """The JSON report; ``rank`` is the input's, which every command already holds."""
     report = {"command": command, "result": result, "version": __version__}
     if arr is not None:
-        report["input_summary"] = {"dim": arr.dim, "n": arr.n, "rank": arr.rank()}
+        report["input_summary"] = {"dim": arr.dim, "n": arr.n, "rank": rank}
     return report
+
+
+def _rank(decomp: Decomposition) -> int:
+    return decomp.ambient_dim - decomp.trivial_directions
 
 
 def certificate_payload(cert: NonFreenessCertificate) -> dict:
@@ -173,7 +178,7 @@ def cmd_analyze(args) -> int:
         "rank2_flats": flats,
         "multiplicity": list(m),
     }
-    report = make_report("analyze", arr, result)
+    report = make_report("analyze", arr, _rank(verdict.decomposition), result)
     human = "\n".join([
         f"input: dim {arr.dim}, {arr.n} hyperplanes, rank {report['input_summary']['rank']}",
         f"rank-2 flats: {len(flats)} with sizes "
@@ -190,7 +195,7 @@ def cmd_totally_free(args) -> int:
     arr, _ = _load(args)
     verdict = decide_totally_free(arr)
     payload = verdict_payload(verdict)
-    report = make_report("totally-free", arr, payload)
+    report = make_report("totally-free", arr, _rank(verdict.decomposition), payload)
     _emit(args, report, _human_verdict(payload))
     if args.strict and not verdict.totally_free:
         return 3
@@ -203,7 +208,7 @@ def cmd_exponents(args) -> int:
     if not verdict.totally_free:
         payload = {"totally_free": False,
                    "certificate": certificate_payload(verdict.witness.certificate)}
-        report = make_report("exponents", arr, payload)
+        report = make_report("exponents", arr, _rank(verdict.decomposition), payload)
         human = ("not totally free; no exponents.\n"
                  + _human_verdict(verdict_payload(verdict)))
         _emit(args, report, human)
@@ -238,7 +243,7 @@ def cmd_exponents(args) -> int:
     payload = {"totally_free": True, "exponents": list(exps),
                "factors": factors_payload,
                "trivial_directions": verdict.decomposition.trivial_directions}
-    report = make_report("exponents", arr, payload)
+    report = make_report("exponents", arr, _rank(verdict.decomposition), payload)
     _emit(args, report, "\n".join(human_lines))
     return 0
 
@@ -274,7 +279,7 @@ def cmd_lmp2(args) -> int:
         "outcome": "certificate" if cert else "inconclusive",
         "certificate": certificate_payload(cert) if cert else None,
     }
-    report = make_report("lmp2", arr, payload)
+    report = make_report("lmp2", arr, rank, payload)
     human_lines = [f"LMP2 = {value}"]
     for f, pair in breakdown:
         human_lines.append(f"  flat {list(f.members)}: exponents {pair.as_tuple()} "
@@ -307,7 +312,7 @@ def cmd_gmp2max(args) -> int:
     if outcome is not None:
         payload["outcome"] = outcome
         payload["certificate"] = cert_payload
-    report = make_report("gmp2max", arr, payload)
+    report = make_report("gmp2max", arr, rank, payload)
     human = (f"GMP2max(rank {rank}, total {total}) = {value}"
              f"   (real bound {_rational(bound)})")
     if outcome is not None:
@@ -327,7 +332,7 @@ def cmd_witness(args) -> int:
     check = circuit_is_nonfree_check(factor.rank)
 
     def to_original(circuit):
-        return sorted(factor.indices[i] for i in circuit.indices)
+        return sorted(factor.indices[i] for i in circuit)
 
     members = set(to_original(circuit_proof))
     m_full = tuple(k0 if i in members else 1 for i in range(arr.n))
@@ -342,7 +347,7 @@ def cmd_witness(args) -> int:
         "k0": k0,
         "multiplicity_vector": list(m_full),
     }
-    report = make_report("witness", arr, payload)
+    report = make_report("witness", arr, _rank(decomp), payload)
     human = "\n".join([
         f"factor: hyperplanes {list(factor.indices)} (rank {factor.rank})",
         f"generic circuit (proof-following): {payload['circuit_proof_following']}",
@@ -373,7 +378,7 @@ def cmd_saito_verify(args) -> int:
     payload = {"verified": check.verified,
                "determinant": poly_to_str(check.det),
                "memberships": memberships}
-    report = make_report("saito-verify", arr, payload)
+    report = make_report("saito-verify", arr, arr.rank(), payload)
     human_lines = []
     for entry in memberships:
         flags = ", ".join("yes" if b else "NO" for b in entry["member"])
@@ -431,6 +436,7 @@ def _parse_generate_spec(tokens: list[str], default_seed: int) -> Arrangement:
                 parts.append(parse_spec())
             if len(parts) < 2:
                 raise ParseError("product needs at least two parenthesized sub-specs")
+            check_size("product", sum(p.dim for p in parts), sum(p.n for p in parts))
             arr = parts[0]
             for part in parts[1:]:
                 arr = product(arr, part)

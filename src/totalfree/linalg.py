@@ -90,19 +90,8 @@ class Matrix:
         self.rows = len(grid)
         self.cols = len(grid[0]) if grid else 0
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> Matrix:
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> Matrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -110,15 +99,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
-    def __matmul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = [other.column(j) for j in range(other.cols)]
-        return Matrix([[dot(row, c) for c in cols] for row in self.entries])
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""

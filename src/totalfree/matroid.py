@@ -48,20 +48,6 @@ def connected_components(arr: Arrangement) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(b)) for b in blocks)
 
 
-def is_irreducible(arr: Arrangement) -> bool:
-    """No product structure: essential and matroid-connected.
-
-    The empty arrangement and anything with a trivial direction are
-    reducible by convention (they factor off empty one-dimensional pieces);
-    a single hyperplane in dimension 1 is irreducible.
-    """
-    if arr.n == 0:
-        return False
-    if arr.rank() < arr.dim:
-        return False
-    return len(connected_components(arr)) == 1
-
-
 @dataclass(frozen=True)
 class Factor:
     """One irreducible factor, essential in its own coordinates."""
@@ -84,9 +70,6 @@ class Decomposition:
     ambient_dim: int
     factors: tuple[Factor, ...]
     trivial_directions: int
-
-    def factor_ranks(self) -> tuple[int, ...]:
-        return tuple(f.rank for f in self.factors)
 
     def max_factor_rank(self) -> int:
         return max((f.rank for f in self.factors), default=0)

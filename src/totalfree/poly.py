@@ -63,16 +63,6 @@ class HomPoly:
         return cls(num_vars, degrees.pop(), clean)
 
     @classmethod
-    def monomial(cls, num_vars: int, exponent: Sequence[int], coeff: Scalar = 1) -> HomPoly:
-        return cls.from_terms(num_vars, {tuple(exponent): coeff})
-
-    @classmethod
-    def variable(cls, num_vars: int, index: int) -> HomPoly:
-        e = [0] * num_vars
-        e[index] = 1
-        return cls.monomial(num_vars, e)
-
-    @classmethod
     def linear(cls, coeffs: Sequence[Scalar]) -> HomPoly:
         """The linear form with the given covector of coefficients."""
         n = len(coeffs)
@@ -84,17 +74,10 @@ class HomPoly:
                 terms[tuple(e)] = c
         return cls.from_terms(n, terms)
 
-    @classmethod
-    def constant(cls, num_vars: int, value: Scalar) -> HomPoly:
-        return cls.from_terms(num_vars, {(0,) * num_vars: value})
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_linear(self) -> bool:
-        return self.degree == 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -121,9 +104,6 @@ class HomPoly:
 
     def __neg__(self) -> HomPoly:
         return self.scale(-1)
-
-    def __sub__(self, other: HomPoly) -> HomPoly:
-        return self + (-other)
 
     def scale(self, c: Scalar) -> HomPoly:
         if c == 0 or self.is_zero():
@@ -161,7 +141,7 @@ def divisible_by_power(f: HomPoly, alpha: HomPoly, m: int) -> bool:
     integer ``f`` leaves an integer quotient, so an ``a_p`` that does not
     divide ``c`` already proves that ``alpha`` does not divide ``f``.
     """
-    if not alpha.is_linear() or alpha.is_zero():
+    if alpha.degree != 1:
         raise ValueError("alpha must be a nonzero linear form")
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -239,7 +219,7 @@ _DIGITS_RE = re.compile(r"[0-9]+")
 _COEFF_RE = re.compile(r"[0-9]+(/[1-9][0-9]*)?")
 
 
-def poly_to_str(f: HomPoly, var_prefix: str = "x") -> str:
+def poly_to_str(f: HomPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
@@ -248,9 +228,9 @@ def poly_to_str(f: HomPoly, var_prefix: str = "x") -> str:
         factors = []
         for i, k in enumerate(e):
             if k == 1:
-                factors.append(f"{var_prefix}{i + 1}")
+                factors.append(f"x{i + 1}")
             elif k > 1:
-                factors.append(f"{var_prefix}{i + 1}^{k}")
+                factors.append(f"x{i + 1}^{k}")
         body = "*".join(factors)
         if not body:
             term = str(abs(c))
@@ -267,7 +247,7 @@ def poly_to_str(f: HomPoly, var_prefix: str = "x") -> str:
     return out
 
 
-def parse_poly(text: str, num_vars: int, var_prefix: str = "x") -> HomPoly:
+def parse_poly(text: str, num_vars: int) -> HomPoly:
     """Parse ``3*x1^2*x2 - 1/2*x3^3`` style polynomial text.
 
     Supported: integer or ``p/q`` coefficients, ``*`` products, ``^`` powers,
@@ -305,9 +285,9 @@ def parse_poly(text: str, num_vars: int, var_prefix: str = "x") -> HomPoly:
             factor = factor.strip()
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
-            if factor.startswith(var_prefix):
+            if factor.startswith("x"):
                 var_part, caret, pow_part = factor.partition("^")
-                index = var_part[len(var_prefix):]
+                index = var_part[1:]
                 if not _DIGITS_RE.fullmatch(index):
                     raise ValueError(f"bad variable {factor!r}")
                 if not 1 <= int(index) <= num_vars:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from totalfree.arrangement import check_multiplicity, derivation, is_member
+from totalfree.arrangement import check_multiplicity, derivation, is_member_at
 from totalfree.errors import DimensionMismatchError
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
@@ -121,6 +121,21 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def monomial(num_vars: int, exponent, coeff=1) -> HomPoly:
+    """``coeff`` times the monomial with this exponent tuple."""
+    return HomPoly.from_terms(num_vars, {tuple(exponent): coeff})
+
+
+def variable(num_vars: int, index: int) -> HomPoly:
+    """The coordinate x_{index + 1}."""
+    return HomPoly.linear([int(i == index) for i in range(num_vars)])
+
+
+def euler_derivation(dim: int):
+    """The Euler derivation sum x_i d/dx_i, a member of every D(A, 1)."""
+    return derivation([variable(dim, i) for i in range(dim)])
+
+
 def power(f, k: int):
     """``f`` to the ``k``-th power by repeated squaring.
 
@@ -129,7 +144,7 @@ def power(f, k: int):
     """
     if k < 0:
         raise ValueError("negative power")
-    result = HomPoly.constant(f.num_vars, 1)
+    result = monomial(f.num_vars, (0,) * f.num_vars)
     while k:
         if k & 1:
             result = result * f
@@ -181,7 +196,7 @@ def substitute(f, change):
 
     result = HomPoly.zero(new_vars)
     for e, c in f.coeffs.items():
-        term = HomPoly.constant(new_vars, c)
+        term = monomial(new_vars, (0,) * new_vars, c)
         for i, k in enumerate(e):
             if k:
                 term = term * image_power(i, k)
@@ -222,7 +237,7 @@ def substitution_divisible_by_power(f, alpha, m: int) -> bool:
     The package's test before it became division by ``alpha``, kept as the
     reference for it.
     """
-    if not alpha.is_linear() or alpha.is_zero():
+    if alpha.degree != 1:
         raise ValueError("alpha must be a nonzero linear form")
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -252,7 +267,7 @@ def substitution_divisible_by_power(f, alpha, m: int) -> bool:
 
 def target_product(arr, m):
     """Saito's target Q = prod alpha_H^{m(H)}, expanded term by term."""
-    target = HomPoly.constant(arr.dim, 1)
+    target = monomial(arr.dim, (0,) * arr.dim)
     for h, mult in zip(arr.hyperplanes, m):
         target = target * power(h.linear_form(), mult)
     return target
@@ -277,7 +292,8 @@ def reference_saito_verify(arr, m, thetas) -> bool:
         if theta.dim != arr.dim:
             raise DimensionMismatchError("derivation arity mismatch")
     check_multiplicity(arr, m)
-    if not all(is_member(theta, arr, m) for theta in thetas):
+    if not all(is_member_at(theta, h, mult) for theta in thetas
+               for h, mult in zip(arr.hyperplanes, m)):
         return False
     det = poly_det([[theta.components[j] for j in range(arr.dim)]
                     for theta in thetas])
@@ -518,6 +534,26 @@ def bipartition_decompose(arr) -> list[tuple[int, ...]]:
 
     blocks = split(list(range(arr.n)))
     return sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
+
+
+def pairwise_generic_normals(n: int, dim: int, seed: int) -> list[tuple[int, ...]]:
+    """The draws of ``generic_arrangement``, each candidate tested against every chosen pair.
+
+    The package's rule before it tested one plane key per chosen normal,
+    kept as the reference for it.
+    """
+    rng = random.Random(seed)
+    chosen: list[tuple[int, ...]] = []
+    while len(chosen) < n:
+        coeffs = [rng.randint(-9, 9) for _ in range(dim)]
+        if not any(coeffs):
+            continue
+        h = primitive(coeffs)
+        if h in chosen or dim >= 3 and any(rank_rows([a, b, h]) < 3
+                                           for a, b in combinations(chosen, 2)):
+            continue
+        chosen.append(h)
+    return chosen
 
 
 def e2(values) -> int:

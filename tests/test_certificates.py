@@ -20,7 +20,6 @@ from totalfree import (
     essentialize,
     find_generic_circuit,
     generic_arrangement,
-    gmp2_from_exponents,
     gmp2_max,
     gmp2_max_exhaustive,
     gmp2_real_bound,
@@ -39,7 +38,7 @@ from totalfree import (
     verify_certificate,
 )
 from totalfree.certificates import _certificate
-from oracles import exhaustive_e2_max, fraction_rank, random_invertible
+from oracles import e2, exhaustive_e2_max, fraction_rank, random_invertible
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -73,9 +72,10 @@ def test_lmp2_breakdown_consistency():
 
 
 def test_gmp2_from_exponents():
-    assert gmp2_from_exponents((1, 2, 3)) == 11
-    assert gmp2_from_exponents((7, 0, 0, 0)) == 0
-    assert gmp2_from_exponents((3, 3)) == 9
+    # GMP2 of free exponents is their e2; the balanced tuple attains gmp2_max.
+    assert e2((1, 2, 3)) == 11 == lmp2(boolean_arrangement(3), (1, 2, 3))
+    assert e2((7, 0, 0, 0)) == 0
+    assert e2((3, 3)) == 9 == gmp2_max(2, 6)
 
 
 def test_gmp2_max_examples():
@@ -134,10 +134,10 @@ def test_find_circuit_braid_s4_both_methods():
     arr = braid_arrangement(4)
     proof = find_generic_circuit(arr, method="proof")
     brute = find_generic_circuit(arr, method="brute")
-    assert len(proof.indices) == len(brute.indices) == 4
-    assert is_generic_circuit(arr, proof.indices)
-    assert is_generic_circuit(arr, brute.indices)
-    assert brute.indices == (0, 1, 4, 5)  # lexicographically first valid subset
+    assert len(proof) == len(brute) == 4
+    assert is_generic_circuit(arr, proof)
+    assert is_generic_circuit(arr, brute)
+    assert brute == (0, 1, 4, 5)  # lexicographically first valid subset
 
 
 def test_find_circuit_boolean_rejected():
@@ -155,15 +155,15 @@ def test_find_circuit_braid_s5_and_s6():
         arr = braid_arrangement(dim)
         for method in ("proof", "brute"):
             circuit = find_generic_circuit(arr, method=method)
-            assert len(circuit.indices) == dim  # rank is dim-1
-            assert is_generic_circuit(arr, circuit.indices)
+            assert len(circuit) == dim  # rank is dim-1
+            assert is_generic_circuit(arr, circuit)
 
 
 def test_find_circuit_generic_input():
     arr = generic_arrangement(6, 4, seed=8)
     if arr.rank() >= 3 and len(__import__("totalfree").connected_components(arr)) == 1:
         for method in ("proof", "brute"):
-            assert is_generic_circuit(arr, find_generic_circuit(arr, method).indices)
+            assert is_generic_circuit(arr, find_generic_circuit(arr, method))
 
 
 def test_find_circuit_case1_branch():
@@ -177,8 +177,8 @@ def test_find_circuit_case1_branch():
     res = restriction(arr, 0)
     assert res.arrangement.n == 4  # injective restriction
     circuit = find_generic_circuit(arr, method="proof")
-    assert circuit.indices == (0, 1, 2, 4)
-    assert is_generic_circuit(arr, circuit.indices)
+    assert circuit == (0, 1, 2, 4)
+    assert is_generic_circuit(arr, circuit)
 
 
 def test_circuit_search_computes_the_rank_once(monkeypatch):
@@ -188,7 +188,7 @@ def test_circuit_search_computes_the_rank_once(monkeypatch):
     for dim, expected in ((5, (2, 5, 6, 7, 8)), (7, (4, 9, 13, 16, 17, 18, 19))):
         arr = essentialize(braid_arrangement(dim))
         calls.clear()
-        assert find_generic_circuit(arr).indices == expected
+        assert find_generic_circuit(arr) == expected
         assert len(calls) <= 2  # the precondition and the is_generic_circuit postcondition
 
 
@@ -212,7 +212,7 @@ def test_find_circuit_fuzz_random_connected():
         found += 1
         for method in ("proof", "brute"):
             circuit = find_generic_circuit(arr, method=method)
-            assert is_generic_circuit(arr, circuit.indices)
+            assert is_generic_circuit(arr, circuit)
 
 
 def test_circuit_check_values():
@@ -234,7 +234,7 @@ def test_k0_braid_s4():
     circuit, k0, m = nonfree_multiplicity_family(arr)
     assert k0 == 9
     assert sorted(m, reverse=True) == [9, 9, 9, 9, 1, 1]
-    assert all(m[i] == 9 for i in circuit.indices)
+    assert all(m[i] == 9 for i in circuit)
     # both sides at k0-1 and k0, as in the threshold definition
     assert 6 * 8 * 8 <= gmp2_max(3, 34)
     assert 6 * 9 * 9 > gmp2_max(3, 38)
@@ -281,7 +281,7 @@ def test_decide_product_of_small_factors():
     arr = product(product(THREE_LINES, arrangement(1, [(1,)])), arrangement(1, [(1,)]))
     verdict = decide_totally_free(arr)
     assert verdict.totally_free
-    assert verdict.decomposition.factor_ranks() == (2, 1, 1)
+    assert tuple(f.rank for f in verdict.decomposition.factors) == (2, 1, 1)
     assert verdict.witness is None
 
 
@@ -342,7 +342,7 @@ def test_lmp_gmp_consistency_on_totally_free():
         for _ in range(10):
             m = tuple(rng.randint(1, 5) for _ in range(arr.n))
             exps = exponents_totally_free(arr, m)
-            assert lmp2(arr, m) == gmp2_from_exponents(exps)
+            assert lmp2(arr, m) == e2(exps)
             checked += 1
     assert checked >= 50
 
@@ -353,7 +353,7 @@ def test_certificate_tail_k0_plus():
         circuit, k0, _ = nonfree_multiplicity_family(arr)
         rank = arr.rank()
         n = arr.n
-        members = set(circuit.indices)
+        members = set(circuit)
         for k in (k0, k0 + 1, k0 + 5):
             total = (k - 1) * (rank + 1) + n
             subset_bound = (rank + 1) * rank // 2 * k * k
@@ -532,7 +532,7 @@ def test_emission_recheck_rejects_unbalanced_gmp2():
     from totalfree import InternalInvariantError, NonFreenessCertificate
     from totalfree.certificates import CertificateExplanation, _emission_recheck
     rank, total = 6, 1001
-    unbalanced = gmp2_from_exponents((168, 167, 167, 167, 166, 166))
+    unbalanced = e2((168, 167, 167, 167, 166, 166))
     assert unbalanced < gmp2_max(rank, total)
     expl = CertificateExplanation("LMP2>GMP2max", tuple(range(7)), None, None, None,
                                   gmp2_real_bound(rank, total))

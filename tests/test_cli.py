@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import totalfree
+import totalfree.families
 import totalfree.rank2
 from totalfree import __version__, parse_arrangement, braid_arrangement, format_arrangement
 from totalfree.cli import build_parser, main
@@ -80,6 +82,28 @@ def test_generate_generic_deterministic(capsys):
 def test_generate_bad_family(capsys):
     code, _, err = run(capsys, "generate", "weird", "3")
     assert code == 1 and "unknown family" in err
+
+
+@pytest.mark.parametrize("spec, size", [
+    ("braid 3000", "13495500000 coefficients"),
+    ("boolean 300000", "90000000000 coefficients"),
+    ("generic 2000 10000", "20000000 coefficients"),
+    ("generic 2000 3", "11994000 integers"),
+    ("product (generic 1 100000) (boolean 200)", "20140200 coefficients"),
+], ids=["braid", "boolean", "generic", "generic-plane-keys", "product"])
+def test_generate_refuses_large_families(capsys, spec, size):
+    # Refused before anything is built: these would take gigabytes.
+    code, out, err = run(capsys, "generate", *spec.split())
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and size in err and "10000000" in err
+
+
+def test_generate_generic_gives_up_after_consecutive_rejections(capsys, monkeypatch):
+    # In dimension 3 the entries in [-9, 9] allow about 84 generic normals.
+    monkeypatch.setattr(totalfree.families, "MAX_REJECTIONS", 500)
+    code, out, err = run(capsys, "generate", "generic", "90", "3")
+    assert code == 1 and out == ""
+    assert "500 draws in a row were rejected" in err
 
 
 # -- totally-free / analyze --------------------------------------------------
@@ -215,6 +239,23 @@ def test_exponents_evaluates_saito_once_per_rank2_factor(capsys, monkeypatch, na
     code, out, _ = run(capsys, "exponents", "-i", str(GOLDEN / f"{name}.arr"), "--json")
     assert code == 0 and "saito_det" in json.loads(out)["result"]["factors"][0]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, name, expected", [
+    ("analyze", "braid5", 2), ("totally-free", "braid5", 2), ("exponents", "braid5", 2),
+    ("lmp2", "braid5", 2), ("gmp2max", "braid5", 2), ("witness", "braid5", 4),
+    ("analyze", "product-rank2", 0),
+])
+def test_report_takes_the_rank_the_command_holds(capsys, monkeypatch, command, name, expected):
+    # The circuit search computes the rank twice per factor and nonfree_by_lmp_gmp
+    # once; input_summary reuses a rank already computed, or the decomposition's.
+    calls = []
+    rank = totalfree.Arrangement.rank
+    monkeypatch.setattr(totalfree.Arrangement, "rank",
+                        lambda self: calls.append(1) or rank(self))
+    code, out, _ = run(capsys, command, "-i", str(GOLDEN / f"{name}.arr"), "--json")
+    assert code == 0 and "rank" in json.loads(out)["input_summary"]
+    assert len(calls) == expected
 
 
 def test_exponents_refuses_too_many_trivial_directions(tmp_path, capsys):

@@ -19,11 +19,11 @@ grid_st = st.lists(entries_st, min_size=36, max_size=36)
 
 
 def test_rank_identity():
-    assert Matrix.identity(2).rank() == 2
+    assert Matrix([(1, 0), (0, 1)]).rank() == 2
 
 
 def test_rank_zero_matrix():
-    assert Matrix.zero(3, 3).rank() == 0
+    assert Matrix([(0, 0, 0)] * 3).rank() == 0
 
 
 def test_rank_dependent_rows():
@@ -33,7 +33,7 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert Matrix.identity(2).kernel_basis() == []
+    assert Matrix([(1, 0), (0, 1)]).kernel_basis() == []
 
 
 def test_kernel_single_equation():
@@ -67,29 +67,11 @@ def test_kernel_vectors_are_in_kernel():
             assert all(dot(row, v) == 0 for row in m.entries)
 
 
-def test_inverse_roundtrip():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        m = Matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        if m.det() == 0:
-            continue
-        assert m @ m.inverse() == Matrix.identity(n)
-
-
 def test_det_triangular_and_singular():
     assert Matrix([(2, 5), (0, 3)]).det() == 6
     assert Matrix([(1, 2), (2, 4)]).det() == 0
     with pytest.raises(ValueError):
         Matrix([(1, 2, 3)]).det()
-
-
-def test_matmul_shapes():
-    a = Matrix([(1, 2), (3, 4), (5, 6)])
-    b = Matrix([(1, 0), (0, 1)])
-    assert a @ b == a
-    with pytest.raises(ValueError):
-        b @ a @ b  # 2x2 times 3x2
 
 
 def test_rref_pivots():

