@@ -21,7 +21,6 @@ from .arrangement import (
     derivation,
     essentialize,
     format_arrangement,
-    localization,
     normalize_hyperplane,
     parse_arrangement,
     product,

@@ -8,10 +8,10 @@ integers aligned with that order.  The empty arrangement and dimension-0
 arrangements are legal values (they arise as essentialization output and
 product factors).
 
-Rank-2 structure rests on one integer key: ``span_key(u, v)``, the support
+Rank-2 structure rests on integer keys: ``rank2_flats`` keys a pair of
+normals by u_p a - a_p u, made primitive, and ``span_key(u, v)``, the support
 and primitive, sign-fixed 2x2 minors of two independent normals, names their
-plane.  Pairs with equal keys form the rank-2 flats, and three normals have
-rank 3 iff span_key(a, b) != span_key(a, c), the generic-circuit test.
+plane: three normals have rank 3 iff span_key(a, b) != span_key(a, c).
 """
 
 from __future__ import annotations
@@ -238,9 +238,13 @@ def product(a1: Arrangement, a2: Arrangement) -> Arrangement:
 
 @dataclass(frozen=True)
 class Flat2:
-    """Closed rank-2 flat: its member indices, ascending."""
+    """Closed rank-2 flat: its members, ascending, and their lines: each normal
+    in the basis of the first two members' normals, primitive, first nonzero
+    entry positive (the localization A_X).
+    """
 
     members: tuple[int, ...]
+    lines: tuple[tuple[int, int], ...]
 
 
 def span_key(u: Sequence[int], v: Sequence[int]) -> tuple[IntVector, IntVector]:
@@ -262,21 +266,47 @@ def span_key(u: Sequence[int], v: Sequence[int]) -> tuple[IntVector, IntVector]:
 
 
 def rank2_flats(arr: Arrangement) -> list[Flat2]:
-    """All closed rank-2 flats, ordered by their two smallest members.
+    """All closed rank-2 flats with their lines, ordered by their two smallest members.
 
-    Distinct hyperplanes have independent normals, so each pair lies in
-    exactly one flat: the pairs sharing its ``span_key``.  In lexicographic
-    pair order a flat starts at its two smallest members, and every other
-    member k arrives, increasing, with the pair (smallest, k).
+    One integer pass over the pairs.  For each i, with normal u and first
+    nonzero coordinate p, each later j not yet covered gets w = u_p a - a_p u
+    (a its normal) on the two supports, so the cost does not grow with the
+    dimension; w = lambda_j * key, the key primitive, first nonzero entry
+    positive.  Equal keys mean one plane through u, so a key collects the flat
+    whose smallest member is i, and its pairs are marked covered.  With v the
+    second member, a = c1 u + c2 v gives w_a = c2 w_v, so a's line (c1, c2) is
+    (a_p lambda_v - lambda_a v_p, lambda_a u_p) up to scale, as ``localization``
+    (the oracle) finds.  An equal key proves a = (a_p u + w_a) / u_p lies in the
+    span of u and v, so no span check is skipped.
     """
     normals = arr.normals()
-    groups: dict[tuple[IntVector, IntVector], list[int]] = {}
-    for i in range(arr.n):
-        for j in range(i + 1, arr.n):
-            members = groups.setdefault(span_key(normals[i], normals[j]), [i])
-            if members[0] == i:
-                members.append(j)
-    return [Flat2(tuple(members)) for members in groups.values()]
+    supports = [{c for c, x in enumerate(a) if x} for a in normals]
+    covered: list[set[int]] = [set() for _ in normals]
+    flats = []
+    for i, u in enumerate(normals):
+        p = min(supports[i])
+        up = u[p]
+        groups: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {}
+        for j in range(i + 1, len(normals)):
+            if j in covered[i]:
+                continue
+            a, ap = normals[j], normals[j][p]
+            w = [(c, x) for c in sorted(supports[i] | supports[j])
+                 if (x := up * a[c] - ap * u[c])]
+            g = math.gcd(*[x for _, x in w]) * (1 if w[0][1] > 0 else -1)
+            groups.setdefault(tuple([(c, x // g) for c, x in w]), []).append((j, g))
+        for group in groups.values():
+            members = (i, *[j for j, _ in group])
+            for k in range(1, len(members)):
+                covered[members[k]].update(members[k + 1:])
+            vp, lam_v = normals[group[0][0]][p], group[0][1]
+            lines = [(1, 0)]
+            for j, lam in group:
+                c1, c2 = normals[j][p] * lam_v - lam * vp, lam * up
+                g = math.gcd(c1, c2) * (1 if c1 > 0 or not c1 and c2 > 0 else -1)
+                lines.append((c1 // g, c2 // g))
+            flats.append(Flat2(members, tuple(lines)))
+    return flats
 
 
 def localization(arr: Arrangement, flat: Flat2) -> Arrangement:

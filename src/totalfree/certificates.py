@@ -31,7 +31,6 @@ from .arrangement import (
     Multiplicity,
     check_multiplicity,
     deletion,
-    localization,
     rank2_flats,
     restriction,
     span_key,
@@ -39,7 +38,7 @@ from .arrangement import (
 )
 from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
 from .matroid import Decomposition, Factor, connected_components, decompose
-from .rank2 import ExponentPair, rank2_exponents
+from .rank2 import ExponentPair, line_exponents
 
 # -- mixed products ----------------------------------------------------------
 
@@ -48,11 +47,8 @@ def lmp2_breakdown(arr: Arrangement, m: Multiplicity
                    ) -> list[tuple[Flat2, ExponentPair]]:
     """Per-flat localized exponent pairs; lmp2 is the sum of their products."""
     check_multiplicity(arr, m)
-    out = []
-    for flat in rank2_flats(arr):
-        local_m = tuple(m[k] for k in flat.members)
-        out.append((flat, rank2_exponents(localization(arr, flat), local_m)))
-    return out
+    return [(flat, line_exponents(flat.lines, tuple([m[k] for k in flat.members])))
+            for flat in rank2_flats(arr)]
 
 
 def lmp2(arr: Arrangement, m: Multiplicity) -> int:
@@ -248,7 +244,11 @@ def find_generic_circuit(arr: Arrangement, method: str = "proof") -> tuple[int, 
     brute-force lexicographic scan; both outputs satisfy the triple
     invariant but need not coincide.
     """
-    rank = _require_connected_rank3(arr)
+    return _generic_circuit(arr, _require_connected_rank3(arr), method)
+
+
+def _generic_circuit(arr: Arrangement, rank: int, method: str) -> tuple[int, ...]:
+    """find_generic_circuit on an arrangement known to be connected, of this rank >= 3."""
     if method == "proof":
         indices = _proof_circuit(arr, rank)
     elif method == "brute":
@@ -330,14 +330,17 @@ def nonfree_by_lmp_gmp(arr: Arrangement, m: Multiplicity
     result is inconclusive, never a freeness proof.
     """
     check_multiplicity(arr, m)
-    rank = arr.rank()
-    if rank < 2:
-        return None
-    value = lmp2(arr, m)
+    return _lmp2_certificate(lmp2(arr, m), arr.rank(), m)
+
+
+def _lmp2_certificate(value: int, rank: int, m: Multiplicity
+                      ) -> NonFreenessCertificate | None:
+    """nonfree_by_lmp_gmp from the LMP2 ``value`` and ``rank`` of the
+    whole multiarrangement under a checked ``m``, for callers that hold them."""
     total = sum(m)
-    if value <= gmp2_max(rank, total):
+    if rank < 2 or value <= gmp2_max(rank, total):
         return None
-    return _certificate(value, rank, total, tuple(m), tuple(range(arr.n)))
+    return _certificate(value, rank, total, tuple(m), tuple(range(len(m))))
 
 
 def _certificate(value: int, rank: int, total: int, multiplicity: Multiplicity,

@@ -34,12 +34,13 @@ from .certificates import (
     NonFreenessCertificate,
     Verdict,
     circuit_is_nonfree_check,
+    _generic_circuit,
+    _lmp2_certificate,
     decide_totally_free,
-    find_generic_circuit,
     gmp2_max,
     gmp2_real_bound,
+    lmp2,
     lmp2_breakdown,
-    nonfree_by_lmp_gmp,
     nonfree_multiplicity_family,
 )
 from .errors import (
@@ -265,8 +266,8 @@ def cmd_lmp2(args) -> int:
     arr, m = _load(args)
     breakdown = lmp2_breakdown(arr, m)
     value = sum(pair.product for _, pair in breakdown)
-    cert = nonfree_by_lmp_gmp(arr, m)
     rank = arr.rank()
+    cert = _lmp2_certificate(value, rank, m)
     upper = gmp2_max(rank, sum(m)) if rank >= 1 else 0
     payload = {
         "lmp2": value,
@@ -295,7 +296,7 @@ def cmd_gmp2max(args) -> int:
     if args.input:
         arr, m = _load(args)
         rank, total = arr.rank(), sum(m)
-        cert = nonfree_by_lmp_gmp(arr, m)
+        cert = _lmp2_certificate(lmp2(arr, m), rank, m)
         outcome = "certificate" if cert else "inconclusive"
         cert_payload = certificate_payload(cert) if cert else None
     else:
@@ -328,7 +329,7 @@ def cmd_witness(args) -> int:
     if factor is None:
         raise ReducibleInputError("no irreducible factor of rank >= 3")
     circuit_proof, k0, _ = nonfree_multiplicity_family(factor.arrangement)
-    circuit_brute = find_generic_circuit(factor.arrangement, method="brute")
+    circuit_brute = _generic_circuit(factor.arrangement, factor.rank, "brute")
     check = circuit_is_nonfree_check(factor.rank)
 
     def to_original(circuit):

@@ -162,9 +162,16 @@ def rank2_exponents(arr2: Arrangement, m: Multiplicity) -> ExponentPair:
     if arr2.n == 0:
         raise ValueError("need at least one line")
     check_multiplicity(arr2, m)
-    if arr2.n == 1:
+    return line_exponents(tuple(arr2.normals()), tuple(m))
+
+
+def line_exponents(lines: tuple[IntVector, ...], m: tuple[int, ...]) -> ExponentPair:
+    """Exponents of distinct primitive lines under checked multiplicities: the
+    one read of the checked cache, for ``rank2_exponents`` after its checks
+    and for ``lmp2_breakdown`` on each flat's lines."""
+    if len(lines) == 1:
         return ExponentPair(0, m[0])
-    (d1, _, _), (d2, _, _) = _min_degree(tuple(arr2.normals()), tuple(m))
+    (d1, _, _), (d2, _, _) = _min_degree(lines, m)
     return ExponentPair(d1, d2)
 
 

@@ -20,14 +20,15 @@ from totalfree import (
     essentialize,
     format_arrangement,
     generic_arrangement,
-    localization,
+    lmp2_breakdown,
     normalize_hyperplane,
     parse_arrangement,
     product,
+    rank2_exponents,
     rank2_flats,
     restriction,
 )
-from totalfree.arrangement import is_member_at, span_key
+from totalfree.arrangement import is_member_at, localization, span_key
 from totalfree.certificates import _all_triples_rank3
 from totalfree.linalg import Matrix
 from oracles import (
@@ -221,6 +222,40 @@ def test_localization_matches_fraction_rref(arr):
         assert local.normals() == rref_localization(normals, f.members, u, v)
 
 
+@st.composite
+def plane_rich_multiarrangements(draw):
+    """Normals that are small combinations of two of a few sparse base vectors,
+    in dims 2..5 or 50..70: negative entries, and several normals per plane,
+    so flats of three or more members; with multiplicities 1..4."""
+    dim = draw(st.one_of(st.integers(2, 5), st.integers(50, 70)))
+    entries = st.integers(-3, 3)
+    bases = [{c: draw(entries.filter(bool)) for c in draw(
+                st.lists(st.integers(0, dim - 1), min_size=1, max_size=4, unique=True))}
+             for _ in range(draw(st.integers(2, 4)))]
+    rows = []
+    for _ in range(draw(st.integers(2, 9))):
+        b1, b2 = draw(st.permutations(bases))[:2]
+        c1, c2 = draw(entries), draw(entries)
+        rows.append([c1 * b1.get(k, 0) + c2 * b2.get(k, 0) for k in range(dim)])
+    arr = arrangement(dim, dict.fromkeys(normalize_hyperplane(r).normal for r in rows if any(r)))
+    return arr, tuple(draw(st.lists(st.integers(1, 4), min_size=arr.n, max_size=arr.n)))
+
+
+@settings(max_examples=150)
+@given(plane_rich_multiarrangements())
+def test_rank2_pass_matches_the_oracles(case):
+    arr, m = case
+    normals = arr.normals()
+    flats = rank2_flats(arr)
+    assert [f.members for f in flats] == brute_rank2_flats(normals)
+    for f in flats:
+        u, v = (normals[k] for k in f.members[:2])
+        assert list(f.lines) == rref_localization(normals, f.members, u, v)
+    assert lmp2_breakdown(arr, m) == [
+        (f, rank2_exponents(localization(arr, f), tuple(m[k] for k in f.members)))
+        for f in flats]
+
+
 def test_flats_partition_pairs():
     for arr in (braid_arrangement(4), braid_arrangement(5),
                 generic_arrangement(5, 3, seed=9), boolean_arrangement(4)):
@@ -278,7 +313,7 @@ def test_localization_of_rank2_arrangement_is_itself():
 def test_localization_rejects_foreign_flat(members, message):
     from totalfree import Flat2
     with pytest.raises(MalformedFlatError, match=message):
-        localization(braid_arrangement(4), Flat2(members))
+        localization(braid_arrangement(4), Flat2(members, ()))
 
 
 # -- product -----------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import totalfree.certificates
 import totalfree.rank2
 from totalfree import (
     Arrangement,
@@ -69,6 +70,46 @@ def test_lmp2_breakdown_consistency():
     assert len(breakdown) == 7
     products = sorted(pair.product for _, pair in breakdown)
     assert products == [1, 1, 1, 2, 2, 2, 2]
+
+
+def test_lmp2_builds_no_arrangement_and_checks_m_once(monkeypatch):
+    # Each flat's lines come from the pass over the pairs, not from a
+    # localized Arrangement, and the multiplicity is checked once in all.
+    arr = braid_arrangement(6)
+    cert = decide_totally_free(arr).witness.certificate
+    built, checked = [], []
+    post_init = Arrangement.__post_init__
+    monkeypatch.setattr(Arrangement, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    for module in (totalfree.certificates, totalfree.rank2):
+        check = module.check_multiplicity
+        monkeypatch.setattr(module, "check_multiplicity",
+                            lambda a, mult, check=check: checked.append(1) or check(a, mult))
+    assert lmp2(arr, cert.multiplicity) == cert.lmp2_lower == 83245
+    assert (len(built), len(checked)) == (0, 1)
+
+
+def test_lmp2_cache_keys_do_not_depend_on_coordinates():
+    # A unit upper-triangular integer change of coordinates keeps every braid
+    # normal primitive with first nonzero entry 1, and a flat's lines are its
+    # normals in the basis of its first two: the same lines in every copy,
+    # so a second copy finds every flat's exponents in the cache.
+    braid = braid_arrangement(6)
+    m = decide_totally_free(braid).witness.certificate.multiplicity
+    rng = random.Random(6)
+    copies = []
+    for _ in range(2):
+        change = [[int(i == j) if j <= i else rng.randint(-2, 2) for j in range(6)]
+                  for i in range(6)]
+        copies.append(arrangement(6, [[sum(n[i] * change[i][j] for i in range(6))
+                                       for j in range(6)] for n in braid.normals()]))
+    totalfree.rank2._min_degree.cache_clear()
+    first = lmp2_breakdown(copies[0], m)
+    before = totalfree.rank2._min_degree.cache_info()
+    second = lmp2_breakdown(copies[1], m)
+    after = totalfree.rank2._min_degree.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(second), 0)
+    assert copies[0] != copies[1] and first == second
 
 
 def test_gmp2_from_exponents():

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import totalfree
+import totalfree.certificates
 import totalfree.families
 import totalfree.rank2
 from totalfree import __version__, parse_arrangement, braid_arrangement, format_arrangement
@@ -243,12 +244,14 @@ def test_exponents_evaluates_saito_once_per_rank2_factor(capsys, monkeypatch, na
 
 @pytest.mark.parametrize("command, name, expected", [
     ("analyze", "braid5", 2), ("totally-free", "braid5", 2), ("exponents", "braid5", 2),
-    ("lmp2", "braid5", 2), ("gmp2max", "braid5", 2), ("witness", "braid5", 4),
+    ("lmp2", "braid5", 1), ("gmp2max", "braid5", 1), ("witness", "braid5", 3),
     ("analyze", "product-rank2", 0),
 ])
 def test_report_takes_the_rank_the_command_holds(capsys, monkeypatch, command, name, expected):
-    # The circuit search computes the rank twice per factor and nonfree_by_lmp_gmp
-    # once; input_summary reuses a rank already computed, or the decomposition's.
+    # The circuit search checks its precondition and postcondition with a rank
+    # each, and the brute circuit its postcondition; lmp2 and gmp2max compute
+    # the rank once and derive the certificate from it.  input_summary reuses
+    # a rank already computed, or the decomposition's.
     calls = []
     rank = totalfree.Arrangement.rank
     monkeypatch.setattr(totalfree.Arrangement, "rank",
@@ -256,6 +259,32 @@ def test_report_takes_the_rank_the_command_holds(capsys, monkeypatch, command, n
     code, out, _ = run(capsys, command, "-i", str(GOLDEN / f"{name}.arr"), "--json")
     assert code == 0 and "rank" in json.loads(out)["input_summary"]
     assert len(calls) == expected
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    function = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or function(*args))
+    return calls
+
+
+def test_lmp2_builds_its_flats_once(capsys, monkeypatch):
+    # The per-flat table and the certificate come from one breakdown.
+    flats = _count_calls(monkeypatch, totalfree.certificates, "rank2_flats")
+    code, out, _ = run(capsys, "lmp2", "-i", str(GOLDEN / "braid5.arr"), "--json")
+    assert code == 0 and json.loads(out)["result"]["lmp2"] == 35
+    assert len(flats) == 1
+
+
+def test_witness_checks_the_circuit_precondition_once(capsys, monkeypatch):
+    # The decomposition shows the factor connected and gives its rank; the
+    # brute-force circuit reuses both and still checks its own output.
+    checks = _count_calls(monkeypatch, totalfree.certificates, "_require_connected_rank3")
+    components = _count_calls(monkeypatch, totalfree.certificates, "connected_components")
+    postconditions = _count_calls(monkeypatch, totalfree.certificates, "is_generic_circuit")
+    code, out, _ = run(capsys, "witness", "-i", str(GOLDEN / "braid5.arr"), "--json")
+    assert code == 0 and json.loads(out)["result"]["circuit_brute_force"] == [0, 1, 2, 6, 8]
+    assert (len(checks), len(components), len(postconditions)) == (1, 7, 2)
 
 
 def test_exponents_refuses_too_many_trivial_directions(tmp_path, capsys):
