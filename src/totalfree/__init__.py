@@ -17,7 +17,6 @@ from .arrangement import (
     Hyperplane,
     Multiplicity,
     arrangement,
-    deletion,
     derivation,
     essentialize,
     format_arrangement,
@@ -43,7 +42,6 @@ from .certificates import (
     lmp2,
     lmp2_breakdown,
     nonfree_by_lmp_gmp,
-    nonfree_multiplicity_family,
     verify_certificate,
 )
 from .errors import (

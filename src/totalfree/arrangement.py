@@ -176,12 +176,6 @@ def essentialize(arr: Arrangement) -> Arrangement:
                        [[h.normal[p] for p in pivots] for h in arr.hyperplanes])
 
 
-def deletion(arr: Arrangement, h: int) -> Arrangement:
-    if not 0 <= h < arr.n:
-        raise IndexError(f"hyperplane index {h} out of range 0..{arr.n - 1}")
-    return Arrangement(arr.dim, arr.hyperplanes[:h] + arr.hyperplanes[h + 1:])
-
-
 @dataclass(frozen=True)
 class Restriction:
     """Restriction to one hyperplane, with the bookkeeping the induction needs.
@@ -200,29 +194,18 @@ def restriction(arr: Arrangement, h0: int) -> Restriction:
         raise IndexError(f"hyperplane index {h0} out of range 0..{arr.n - 1}")
     a0 = arr.hyperplanes[h0].normal
     p = next(i for i, c in enumerate(a0) if c != 0)
-    # Hermite-style kernel basis of the normal: deterministic integer vectors.
-    basis = []
-    for j in range(arr.dim):
-        if j == p:
-            continue
-        w = [0] * arr.dim
-        w[j] = a0[p]
-        w[p] = -a0[j]
-        basis.append(tuple(w))
-    images: list[Hyperplane] = []
-    index_of: dict[IntVector, int] = {}
+    # Coordinates against the kernel basis a0[p] e_j - a0[j] e_p (j != p).
+    others = [j for j in range(arr.dim) if j != p]
+    index_of: dict[IntVector, int] = {}  # the distinct images, in order
     index_map: list[int | None] = []
-    for i, h in enumerate(arr.hyperplanes):
+    for i, c in enumerate(arr.normals()):
         if i == h0:
             index_map.append(None)
-            continue
-        restricted = [sum(c * w[k] for k, c in enumerate(h.normal)) for w in basis]
-        img = normalize_hyperplane(restricted)
-        if img.normal not in index_of:
-            index_of[img.normal] = len(images)
-            images.append(img)
-        index_map.append(index_of[img.normal])
-    return Restriction(Arrangement(arr.dim - 1, tuple(images)), tuple(index_map))
+        else:
+            img = normalize_hyperplane([a0[p] * c[j] - a0[j] * c[p] for j in others])
+            index_map.append(index_of.setdefault(img.normal, len(index_of)))
+    return Restriction(Arrangement(arr.dim - 1, tuple(map(Hyperplane, index_of))),
+                       tuple(index_map))
 
 
 def product(a1: Arrangement, a2: Arrangement) -> Arrangement:
@@ -394,7 +377,7 @@ def parse_arrangement(text: str) -> tuple[Arrangement, Multiplicity]:
             for t in coeff_tokens:
                 if not _COEFF_RE.fullmatch(t):
                     raise ParseError(f"bad coefficient {t!r}", lineno)
-            coeffs = [Fraction(t) for t in coeff_tokens]
+            coeffs = [Fraction(t) if "/" in t else int(t) for t in coeff_tokens]
             if all(c == 0 for c in coeffs):
                 raise ParseError("zero covector does not define a hyperplane", lineno)
             h = normalize_hyperplane(coeffs)

@@ -30,14 +30,13 @@ from .arrangement import (
     Flat2,
     Multiplicity,
     check_multiplicity,
-    deletion,
     rank2_flats,
     restriction,
     span_key,
     subarrangement,
 )
 from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
-from .matroid import Decomposition, Factor, connected_components, decompose
+from .matroid import Decomposition, Factor, _blocks, _fundamental_circuits, decompose
 from .rank2 import ExponentPair, line_exponents
 
 # -- mixed products ----------------------------------------------------------
@@ -47,8 +46,13 @@ def lmp2_breakdown(arr: Arrangement, m: Multiplicity
                    ) -> list[tuple[Flat2, ExponentPair]]:
     """Per-flat localized exponent pairs; lmp2 is the sum of their products."""
     check_multiplicity(arr, m)
+    return _breakdown(rank2_flats(arr), m)
+
+
+def _breakdown(flats: list[Flat2], m: Multiplicity) -> list[tuple[Flat2, ExponentPair]]:
+    """lmp2_breakdown from the flats and a checked multiplicity of their arrangement."""
     return [(flat, line_exponents(flat.lines, tuple([m[k] for k in flat.members])))
-            for flat in rank2_flats(arr)]
+            for flat in flats]
 
 
 def lmp2(arr: Arrangement, m: Multiplicity) -> int:
@@ -131,22 +135,6 @@ def _all_triples_rank3(arr: Arrangement, indices) -> bool:
                for a, b, c in combinations(normals, 3))
 
 
-def _require_connected_rank3(arr: Arrangement) -> int:
-    """Shared precondition of the witness operations; returns the rank.
-
-    Essentiality is not required: trivial directions change neither ranks
-    nor circuits, and the matroid is all that matters here.
-    """
-    if arr.n == 0:
-        raise ReducibleInputError("empty arrangement")
-    rank = arr.rank()
-    if rank < 3:
-        raise ReducibleInputError(f"rank {rank} < 3: no irreducible factor of rank >= 3")
-    if len(connected_components(arr)) != 1:
-        raise ReducibleInputError("arrangement is reducible")
-    return rank
-
-
 def _brute_circuit(arr: Arrangement, rank: int) -> list[int]:
     """Lexicographically first (rank+1)-subset whose triples all have rank 3."""
     n = arr.n
@@ -173,67 +161,74 @@ def _brute_circuit(arr: Arrangement, rank: int) -> list[int]:
     return found
 
 
-def _proof_circuit(arr: Arrangement, rank: int) -> list[int]:
+def _connected_level(arr: Arrangement, rank: int,
+                     circuits: list[set[int]] | None = None) -> list[set[int]]:
+    """The fundamental circuits of ``arr``, checked to be ``rank`` in one block."""
+    circuits = _fundamental_circuits(arr.normals()) if circuits is None else circuits
+    if len(circuits) != rank or len(_blocks(circuits)) != 1:
+        raise InternalInvariantError(f"induction level is not a connected rank-{rank} matroid")
+    return circuits
+
+
+def _proof_circuit(arr: Arrangement, rank: int,
+                   circuits: list[set[int]] | None = None) -> list[int]:
     """Deletion/restriction induction; returns indices into ``arr``.
 
-    Mirrors the inductive argument: delete the first hyperplane if that
+    Mirrors the inductive argument: delete the first hyperplane while that
     keeps the matroid connected, otherwise recurse into the restriction
     (connected by the deletion/contraction alternative of matroid
     connectivity) and lift back through smallest preimages.  A connected
     matroid has no coloop, so deletion keeps ``rank`` and restriction
     lowers it by one.  Rank 3 is the base of the induction, split into the
     all-images-distinct case and the collision case.
+
+    Each level runs one elimination.  No hyperplane deleted or restricted
+    to is a coloop, so none is in the last-first basis, which then stays a
+    basis of the rest with the same fundamental circuits: the rest is
+    connected iff those circuits, less the deleted hyperplanes, form one block.
     """
+    circuits = _connected_level(arr, rank, circuits)
     n = arr.n
-    if n == rank + 1:
-        if not _all_triples_rank3(arr, range(n)):
+    s = 0  # hyperplanes before s are deleted
+    while n - s > rank + 1 and len(_blocks([{e for e in c if e > s} for c in circuits])) == 1:
+        s += 1
+    if min(max(c) for c in circuits) <= s:
+        raise InternalInvariantError("circuit induction: a connected level has a coloop")
+    if n - s == rank + 1:
+        if not _all_triples_rank3(arr, range(s, n)):
             raise InternalInvariantError(
                 "connected arrangement of size rank+1 with a dependent triple")
-        return list(range(n))
-    deleted = deletion(arr, 0)
-    if len(connected_components(deleted)) == 1:
-        return [i + 1 for i in _proof_circuit(deleted, rank)]
-    restr = restriction(arr, 0)
-    if len(connected_components(restr.arrangement)) != 1:
-        raise InternalInvariantError(
-            "both deletion and restriction disconnected; contradicts matroid "
-            "connectivity")
-    imap = restr.index_map
+        return list(range(s, n))
+    restr = restriction(subarrangement(arr, range(s, n)) if s else arr, 0)
+    imap = [None] * s + list(restr.index_map)
     if rank == 3:
-        if restr.arrangement.n == n - 1:
-            # All images distinct: any independent triple avoiding index 0
+        _connected_level(restr.arrangement, 2)
+        if restr.arrangement.n == n - s - 1:
+            # All images distinct: any independent triple avoiding index s
             # completes a valid quadruple.
-            for i, j, k in combinations(range(1, n), 3):
+            for i, j, k in combinations(range(s + 1, n), 3):
                 if _all_triples_rank3(arr, (i, j, k)):
-                    return [0, i, j, k]
+                    return [s, i, j, k]
             raise InternalInvariantError("no independent triple in a rank-3 deletion")
         # Collision case: two hyperplanes sharing an image intersect inside
-        # hyperplane 0; one of them completes the quadruple.
-        collision = next(((a, b) for a in range(1, n) for b in range(a + 1, n)
+        # hyperplane s; one of them completes the quadruple.
+        collision = next(((a, b) for a in range(s + 1, n) for b in range(a + 1, n)
                           if imap[a] == imap[b]), None)
         if collision is None:
             raise InternalInvariantError("restriction shrank without a collision")
         a, b = collision
-        helpers: list[int] = []
-        seen_images = {imap[a]}
-        for i in range(1, n):
-            if i in (a, b) or imap[i] in seen_images:
-                continue
-            seen_images.add(imap[i])
-            helpers.append(i)
-            if len(helpers) == 2:
-                break
+        first = {imap[a]: a}  # the first hyperplane of each image, a's first
+        for i in range(s + 1, n):
+            first.setdefault(imap[i], i)
+        helpers = list(first.values())[1:3]
         if len(helpers) < 2:
             raise InternalInvariantError("connected restriction with fewer than 3 images")
-        for candidate in ([0, helpers[0], helpers[1], a], [0, helpers[0], helpers[1], b]):
+        for candidate in ([s, helpers[0], helpers[1], a], [s, helpers[0], helpers[1], b]):
             if _all_triples_rank3(arr, candidate):
                 return sorted(candidate)
         raise InternalInvariantError("collision case produced no valid quadruple")
     sub = _proof_circuit(restr.arrangement, rank - 1)
-    lifted = [0]
-    for r_idx in sub:
-        lifted.append(next(i for i in range(1, n) if imap[i] == r_idx))
-    return sorted(lifted)
+    return sorted([s] + [next(i for i in range(s + 1, n) if imap[i] == r) for r in sub])
 
 
 def find_generic_circuit(arr: Arrangement, method: str = "proof") -> tuple[int, ...]:
@@ -242,15 +237,25 @@ def find_generic_circuit(arr: Arrangement, method: str = "proof") -> tuple[int, 
 
     ``method`` selects the proof-following induction (default) or the
     brute-force lexicographic scan; both outputs satisfy the triple
-    invariant but need not coincide.
+    invariant but need not coincide.  Essentiality is not required.  The
+    check of rank and connectivity is the induction's first elimination.
     """
-    return _generic_circuit(arr, _require_connected_rank3(arr), method)
+    if arr.n == 0:
+        raise ReducibleInputError("empty arrangement")
+    circuits = _fundamental_circuits(arr.normals())
+    if len(circuits) < 3:
+        raise ReducibleInputError(
+            f"rank {len(circuits)} < 3: no irreducible factor of rank >= 3")
+    if len(_blocks(circuits)) != 1:
+        raise ReducibleInputError("arrangement is reducible")
+    return _generic_circuit(arr, len(circuits), method, circuits)
 
 
-def _generic_circuit(arr: Arrangement, rank: int, method: str) -> tuple[int, ...]:
+def _generic_circuit(arr: Arrangement, rank: int, method: str,
+                     circuits: list[set[int]] | None = None) -> tuple[int, ...]:
     """find_generic_circuit on an arrangement known to be connected, of this rank >= 3."""
     if method == "proof":
-        indices = _proof_circuit(arr, rank)
+        indices = _proof_circuit(arr, rank, circuits)
     elif method == "brute":
         indices = _brute_circuit(arr, rank)
     else:
@@ -380,7 +385,12 @@ def nonfree_multiplicity_family(arr: Arrangement
     gap guarantees k0 exists and the inequality persists for every k >= k0
     beyond the larger root of the real-bound quadratic.
     """
-    circuit = find_generic_circuit(arr)
+    return _family(arr, find_generic_circuit(arr))
+
+
+def _family(arr: Arrangement, circuit: tuple[int, ...]
+            ) -> tuple[tuple[int, ...], int, Multiplicity]:
+    """nonfree_multiplicity_family from a generic circuit of ``arr``."""
     rank = len(circuit) - 1
     n = arr.n
     pairs = comb(rank + 1, 2)
@@ -391,16 +401,19 @@ def nonfree_multiplicity_family(arr: Arrangement
     c0 = Fraction((rank - 1) * slack * slack, 2 * rank)
     cap = int(c1 / c2) + isqrt(int(c0 / c2)) + 3
     k = 1
-    while True:
-        total = (k - 1) * (rank + 1) + n
-        if pairs * k * k > gmp2_max(rank, total):
-            break
+    while pairs * k * k <= gmp2_max(rank, (k - 1) * (rank + 1) + n):
         k += 1
         if k > cap:
             raise InternalInvariantError("k0 search exceeded its provable cap")
     members = set(circuit)
     m = tuple(k if i in members else 1 for i in range(n))
     return circuit, k, m
+
+
+def _factor_family(factor: Factor) -> tuple[tuple[int, ...], int, Multiplicity]:
+    """nonfree_multiplicity_family of a connected factor of rank >= 3."""
+    arr = factor.arrangement
+    return _family(arr, _generic_circuit(arr, factor.rank, "proof"))
 
 
 # -- the verdict -------------------------------------------------------------
@@ -440,16 +453,31 @@ def decide_totally_free(arr: Arrangement) -> Verdict:
     and a non-freeness certificate for the multiplicity that is k0 on the
     circuit and 1 elsewhere.
     """
+    return _verdict(arr, None)
+
+
+def _verdict(arr: Arrangement, flats: list[Flat2] | None) -> Verdict:
+    """decide_totally_free from the rank-2 flats of ``arr`` (None: computed
+    here).  The factor's LMP2 comes from those inside its block, which are
+    the factor's flats: essentialization is linear and injective on the span,
+    so their lines keep their exponents.  A flat meeting two blocks, of ranks
+    adding up to 2, is a pair.  The induction rechecks rank and connectivity."""
     decomp = decompose(arr)
     if decomp.max_factor_rank() <= 2:
         return Verdict(True, decomp, None)
     factor = next(f for f in decomp.factors if f.rank >= 3)
-    circuit, k0, m_factor = nonfree_multiplicity_family(factor.arrangement)
+    circuit, k0, m_factor = _factor_family(factor)
     original = tuple(sorted(factor.indices[i] for i in circuit))
-    members = set(original)
-    m_full = tuple(k0 if i in members else 1 for i in range(arr.n))
-    certificate = _certificate(lmp2(factor.arrangement, m_factor), factor.rank,
-                               sum(m_factor), m_full, factor.indices, original, k0)
+    m_full = tuple(k0 if i in original else 1 for i in range(arr.n))
+    flats = rank2_flats(arr) if flats is None else flats
+    block = set(factor.indices)
+    shared = [len(block.intersection(f.members)) for f in flats]
+    if any(0 < k < len(f.members) != 2 for f, k in zip(flats, shared)):
+        raise InternalInvariantError("a rank-2 flat across two factors is not a pair")
+    inside = [f for f, k in zip(flats, shared) if k == len(f.members)]
+    value = sum(pair.product for _, pair in _breakdown(inside, m_full))
+    certificate = _certificate(value, factor.rank, sum(m_factor), m_full,
+                               factor.indices, original, k0)
     return Verdict(False, decomp, Witness(factor, circuit, original, k0, certificate))
 
 

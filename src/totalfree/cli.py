@@ -34,14 +34,15 @@ from .certificates import (
     NonFreenessCertificate,
     Verdict,
     circuit_is_nonfree_check,
+    _factor_family,
     _generic_circuit,
     _lmp2_certificate,
+    _verdict,
     decide_totally_free,
     gmp2_max,
     gmp2_real_bound,
     lmp2,
     lmp2_breakdown,
-    nonfree_multiplicity_family,
 )
 from .errors import (
     InternalInvariantError,
@@ -171,9 +172,9 @@ def _human_verdict(payload: dict) -> str:
 
 def cmd_analyze(args) -> int:
     arr, m = _load(args)
-    verdict = decide_totally_free(arr)
-    flats = [{"members": list(f.members), "size": len(f.members)}
-             for f in rank2_flats(arr)]
+    input_flats = rank2_flats(arr)
+    verdict = _verdict(arr, input_flats)
+    flats = [{"members": list(f.members), "size": len(f.members)} for f in input_flats]
     result = {
         "verdict": verdict_payload(verdict),
         "rank2_flats": flats,
@@ -328,7 +329,7 @@ def cmd_witness(args) -> int:
     factor = next((f for f in decomp.factors if f.rank >= 3), None)
     if factor is None:
         raise ReducibleInputError("no irreducible factor of rank >= 3")
-    circuit_proof, k0, _ = nonfree_multiplicity_family(factor.arrangement)
+    circuit_proof, k0, _ = _factor_family(factor)
     circuit_brute = _generic_circuit(factor.arrangement, factor.rank, "brute")
     check = circuit_is_nonfree_check(factor.rank)
 

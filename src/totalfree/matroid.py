@@ -5,7 +5,8 @@ with additive rank, and the finest such partition is the set of connected
 components of the matroid of normals.  Components are computed from
 fundamental circuits with respect to one greedy basis: link every non-basis
 element to the basis elements of its fundamental circuit; the connected
-components of that graph are the matroid components.  One fraction-free
+components of that graph are the matroid components, for any basis
+(Oxley, *Matroid Theory*, the chapter on connectivity).  One fraction-free
 reduced elimination of the normals, taken as columns, yields the basis and
 every circuit.  Each factor is the essentialization of its block: the
 block's normals restricted to the block's pivot coordinates.  All of it is
@@ -21,31 +22,34 @@ from .arrangement import Arrangement, essentialize, subarrangement
 from .linalg import _eliminate
 
 
+def _fundamental_circuits(normals) -> list[set[int]]:
+    """Fundamental circuits for the last-first greedy basis: the pivots of the
+    normals as columns, last first.  Pivot row i is nonzero on basis element
+    i, its largest index, and on each non-basis element whose circuit holds it."""
+    n = len(normals)
+    rows, basis, _, _ = _eliminate(list(zip(*normals[::-1])), n, reduce=True)
+    return [{n - 1 - c for c, x in enumerate(row) if x} for row in rows[:len(basis)]]
+
+
+def _blocks(supports) -> list[set[int]]:
+    """The sets merged wherever they meet."""
+    blocks: list[set[int]] = []
+    for block in supports:
+        for other in [b for b in blocks if b & block]:
+            block = block | other  # the callers' sets stay as they are
+            blocks.remove(other)
+        blocks.append(block)
+    return blocks
+
+
 def connected_components(arr: Arrangement) -> list[tuple[int, ...]]:
     """Finest partition of hyperplane indices with additive rank.
 
     Blocks are returned sorted by smallest member; the empty arrangement
-    yields the empty partition.  Correctness: in the reduced echelon form
-    of the matrix whose columns are the normals (the fraction-free reduced
-    rows are nonzero multiples of its rows), the pivot columns are the
-    greedy basis and a non-pivot column holds its normal's coordinates in
-    that basis, so the nonzero rows of the column are the basis elements of
-    its fundamental circuit.  Row i is nonzero exactly on basis element i
-    and the non-basis elements whose circuits contain it; merging the
-    supports of the rows joins along every fundamental circuit, which
-    reaches every pair that shares any circuit.
+    yields the empty partition.  Merging the fundamental circuits where
+    they meet joins along every edge of the fundamental-circuit graph.
     """
-    if arr.n == 0:
-        return []
-    rows, basis, _, _ = _eliminate(list(zip(*arr.normals())), arr.n, reduce=True)
-    blocks: list[set[int]] = []
-    for row in rows[:len(basis)]:
-        block = {e for e, x in enumerate(row) if x != 0}
-        for other in [b for b in blocks if b & block]:
-            block |= other
-            blocks.remove(other)
-        blocks.append(block)
-    return sorted(tuple(sorted(b)) for b in blocks)
+    return sorted(tuple(sorted(b)) for b in _blocks(_fundamental_circuits(arr.normals())))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from totalfree.arrangement import check_multiplicity, derivation, is_member_at
+from totalfree.arrangement import (
+    Arrangement, Restriction, check_multiplicity, derivation, is_member_at, normalize_hyperplane)
 from totalfree.errors import DimensionMismatchError
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
@@ -602,3 +603,91 @@ def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
     rng.shuffle(m)
     return m
+
+
+def deletion(arr, h: int):
+    """The arrangement without hyperplane ``h``.
+
+    The package's ``deletion``, which nothing outside the tests called once
+    the circuit induction read deletions off one elimination, kept for them.
+    """
+    if not 0 <= h < arr.n:
+        raise IndexError(f"hyperplane index {h} out of range 0..{arr.n - 1}")
+    return Arrangement(arr.dim, arr.hyperplanes[:h] + arr.hyperplanes[h + 1:])
+
+
+def kernel_basis_restriction(arr, h0: int):
+    """Restriction to hyperplane ``h0`` through an explicit kernel basis.
+
+    The package's ``restriction`` before it wrote each coordinate as
+    a0[p] c[j] - a0[j] c[p], kept as the reference for it: each restricted
+    normal is the dot product of the normal with the basis vectors
+    a0[p] e_j - a0[j] e_p (j != p) of the kernel of normal a0.
+    """
+    a0 = arr.hyperplanes[h0].normal
+    p = next(i for i, c in enumerate(a0) if c != 0)
+    basis = []
+    for j in range(arr.dim):
+        if j == p:
+            continue
+        w = [0] * arr.dim
+        w[j] = a0[p]
+        w[p] = -a0[j]
+        basis.append(tuple(w))
+    images, index_of, index_map = [], {}, []
+    for i, h in enumerate(arr.hyperplanes):
+        if i == h0:
+            index_map.append(None)
+            continue
+        img = normalize_hyperplane([sum(c * w[k] for k, c in enumerate(h.normal))
+                                    for w in basis])
+        if img.normal not in index_of:
+            index_of[img.normal] = len(images)
+            images.append(img)
+        index_map.append(index_of[img.normal])
+    return Restriction(Arrangement(arr.dim - 1, tuple(images)), tuple(index_map))
+
+
+def _triples_rank3(arr, indices) -> bool:
+    normals = arr.normals()
+    return all(rank_rows([normals[a], normals[b], normals[c]]) == 3
+               for a, b, c in combinations(indices, 3))
+
+
+def deletion_restriction_circuit(arr, rank: int) -> list[int]:
+    """Generic circuit of a connected arrangement by the deletion/restriction
+    induction, with a new arrangement and a new component computation for
+    every deletion.
+
+    The package's circuit induction before each level ran one elimination,
+    kept as the reference for it; components come from ``fraction_components``
+    and triples from ``rank_rows``.
+    """
+    n = arr.n
+    if n == rank + 1:
+        assert _triples_rank3(arr, range(n))
+        return list(range(n))
+    deleted = deletion(arr, 0)
+    if len(fraction_components(deleted)) == 1:
+        return [i + 1 for i in deletion_restriction_circuit(deleted, rank)]
+    restr = kernel_basis_restriction(arr, 0)
+    assert len(fraction_components(restr.arrangement)) == 1
+    imap = restr.index_map
+    if rank == 3:
+        if restr.arrangement.n == n - 1:
+            return next([0, i, j, k] for i, j, k in combinations(range(1, n), 3)
+                        if _triples_rank3(arr, (i, j, k)))
+        a, b = next((a, b) for a in range(1, n) for b in range(a + 1, n)
+                    if imap[a] == imap[b])
+        helpers, seen_images = [], {imap[a]}
+        for i in range(1, n):
+            if i in (a, b) or imap[i] in seen_images:
+                continue
+            seen_images.add(imap[i])
+            helpers.append(i)
+            if len(helpers) == 2:
+                break
+        return next(sorted(c) for c in ([0, *helpers, a], [0, *helpers, b])
+                    if _triples_rank3(arr, c))
+    sub = deletion_restriction_circuit(restr.arrangement, rank - 1)
+    return sorted([0] + [next(i for i in range(1, n) if imap[i] == r) for r in sub])

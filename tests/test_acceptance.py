@@ -14,7 +14,6 @@ from totalfree import (
     braid_arrangement,
     circuit_is_nonfree_check,
     decide_totally_free,
-    deletion,
     exponents_totally_free,
     find_generic_circuit,
     generic_arrangement,
@@ -22,7 +21,6 @@ from totalfree import (
     is_generic_circuit,
     lmp2,
     nonfree_by_lmp_gmp,
-    nonfree_multiplicity_family,
     product,
     rank2_basis,
     rank2_exponents,
@@ -30,7 +28,8 @@ from totalfree import (
     saito_verify,
     verify_certificate,
 )
-from oracles import bipartition_decompose, e2, random_invertible, rank_rows
+from totalfree.certificates import nonfree_multiplicity_family
+from oracles import bipartition_decompose, deletion, e2, random_invertible, rank_rows
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 

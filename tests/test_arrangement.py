@@ -15,7 +15,6 @@ from totalfree import (
     arrangement,
     boolean_arrangement,
     braid_arrangement,
-    deletion,
     derivation,
     essentialize,
     format_arrangement,
@@ -32,8 +31,9 @@ from totalfree.arrangement import is_member_at, localization, span_key
 from totalfree.certificates import _all_triples_rank3
 from totalfree.linalg import Matrix
 from oracles import (
-    assert_pivot_restriction, brute_rank2_flats, euler_derivation, fraction_rank, monomial,
-    pairwise_generic_normals, primitive, random_invertible, rref_localization)
+    assert_pivot_restriction, brute_rank2_flats, deletion, euler_derivation, fraction_rank,
+    kernel_basis_restriction, monomial, pairwise_generic_normals, primitive, random_invertible,
+    rref_localization)
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -188,6 +188,14 @@ def small_arrangements(draw):
     rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
                          .filter(any), min_size=1, max_size=8))
     return arrangement(dim, dict.fromkeys(normalize_hyperplane(r).normal for r in rows))
+
+
+@settings(max_examples=120)
+@given(small_arrangements(), st.data())
+def test_restriction_matches_the_kernel_basis_form(arr, data):
+    # One 2x2 minor per coordinate is the dot product with the kernel basis.
+    h0 = data.draw(st.integers(0, arr.n - 1))
+    assert restriction(arr, h0) == kernel_basis_restriction(arr, h0)
 
 
 def test_span_key_names_the_plane():
@@ -397,6 +405,17 @@ hyperplane 0 1 mult 4
     arr, m = parse_arrangement(text)
     assert arr.normals() == [(3, -2), (0, 1)]
     assert m == (1, 4)
+
+
+def test_parse_integer_and_unit_fraction_tokens_agree():
+    # Integer tokens are read by int, p/q tokens by Fraction; both normalize alike.
+    ints, _ = parse_arrangement("dim 3\nhyperplane 3 -6 +9\nhyperplane 0 -0 007\n")
+    fracs, _ = parse_arrangement("dim 3\nhyperplane 3/1 -6/1 +9/1\nhyperplane 0/1 -0/5 14/2\n")
+    assert ints == fracs
+    assert ints.normals() == [(1, -2, 3), (0, 0, 1)]
+    assert all(type(c) is int for h in ints.normals() for c in h)
+    with pytest.raises(DuplicateHyperplaneError):
+        parse_arrangement("dim 2\nhyperplane 3 1\nhyperplane 3/1 1/1\n")
 
 
 def test_parse_duplicate_names_both_lines():

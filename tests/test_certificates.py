@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import totalfree.certificates
 import totalfree.rank2
@@ -17,7 +17,6 @@ from totalfree import (
     braid_arrangement,
     circuit_is_nonfree_check,
     decide_totally_free,
-    deletion,
     essentialize,
     find_generic_circuit,
     generic_arrangement,
@@ -29,17 +28,19 @@ from totalfree import (
     lmp2_breakdown,
     exponents_totally_free,
     nonfree_by_lmp_gmp,
-    nonfree_multiplicity_family,
     normalize_hyperplane,
     product,
     rank2_basis,
     rank2_exponents,
+    rank2_flats,
     restriction,
     subarrangement,
     verify_certificate,
 )
-from totalfree.certificates import _certificate
-from oracles import e2, exhaustive_e2_max, fraction_rank, random_invertible
+from totalfree.certificates import _certificate, _verdict, nonfree_multiplicity_family
+from oracles import (
+    deletion, deletion_restriction_circuit, e2, exhaustive_e2_max, fraction_components,
+    fraction_rank, random_invertible, random_unimodular)
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -212,9 +213,9 @@ def test_find_circuit_case1_branch():
     # restriction to x+2y+z has no image collisions, so the rank-3 base case
     # runs its all-images-distinct branch.
     arr = arrangement(3, [(1, 2, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
-    from totalfree import connected_components, deletion as delete_op
+    from totalfree import connected_components
     assert len(connected_components(arr)) == 1
-    assert len(connected_components(delete_op(arr, 0))) == 2
+    assert len(connected_components(deletion(arr, 0))) == 2
     res = restriction(arr, 0)
     assert res.arrangement.n == 4  # injective restriction
     circuit = find_generic_circuit(arr, method="proof")
@@ -230,7 +231,60 @@ def test_circuit_search_computes_the_rank_once(monkeypatch):
         arr = essentialize(braid_arrangement(dim))
         calls.clear()
         assert find_generic_circuit(arr) == expected
-        assert len(calls) <= 2  # the precondition and the is_generic_circuit postcondition
+        assert len(calls) == 1  # the postcondition; the precondition is the first elimination
+
+
+@st.composite
+def _connected_rank3_inputs(draw):
+    """A random connected arrangement (dims 3-6, entries in [-3, 3]) or a
+    braid arrangement of dim 4-9 in unimodular coordinates; with its rank."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(4, 9))
+        change = random_unimodular(draw(st.randoms(use_true_random=False)), dim)
+        rows = [[sum(a[i] * change[i][j] for i in range(dim)) for j in range(dim)]
+                for a in braid_arrangement(dim).normals()]
+        return arrangement(dim, rows), dim - 1
+    dim = draw(st.integers(3, 6))
+    vectors = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    rows = draw(st.lists(vectors, min_size=dim + 1, max_size=dim + 5))
+    arr = arrangement(dim, dict.fromkeys(normalize_hyperplane(r).normal for r in rows))
+    rank = fraction_rank(arr.normals(), dim)
+    assume(rank >= 3 and len(fraction_components(arr)) == 1)
+    return arr, rank
+
+
+@settings(max_examples=150)
+@given(_connected_rank3_inputs())
+def test_one_elimination_per_level_matches_the_deletion_induction(case):
+    # Deletions read off the level's fundamental circuits give the circuit
+    # that a new arrangement and a new elimination per deletion give.
+    arr, rank = case
+    assert find_generic_circuit(arr) == tuple(deletion_restriction_circuit(arr, rank))
+
+
+@settings(max_examples=60)
+@given(st.lists(_connected_rank3_inputs(), min_size=1, max_size=2),
+       st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2).filter(any),
+                max_size=4),
+       st.randoms(use_true_random=False))
+def test_verdict_lmp2_from_the_input_flats_matches_the_factor_pass(cases, lines, rng):
+    # A product with a rank-2 factor, in new coordinates that mix the
+    # blocks: the factor's LMP2 from the input's flats inside its block is
+    # the LMP2 of a pass over the essentialized factor.
+    parts = [arr for arr, _ in cases]
+    if any(lines):
+        parts.append(arrangement(2, dict.fromkeys(normalize_hyperplane(v).normal for v in lines)))
+    arr = parts[0]
+    for part in parts[1:]:
+        arr = product(arr, part)
+    change = random_unimodular(rng, arr.dim)
+    arr = arrangement(arr.dim, [[sum(a[i] * change[i][j] for i in range(arr.dim))
+                                 for j in range(arr.dim)] for a in arr.normals()])
+    verdict = _verdict(arr, rank2_flats(arr))
+    assert verdict == decide_totally_free(arr)
+    w = verdict.witness
+    m_factor = tuple(w.k0 if i in w.circuit else 1 for i in range(w.factor.arrangement.n))
+    assert w.certificate.lmp2_lower == lmp2(w.factor.arrangement, m_factor)
 
 
 def test_find_circuit_fuzz_random_connected():

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,15 +245,15 @@ def test_exponents_evaluates_saito_once_per_rank2_factor(capsys, monkeypatch, na
 
 
 @pytest.mark.parametrize("command, name, expected", [
-    ("analyze", "braid5", 2), ("totally-free", "braid5", 2), ("exponents", "braid5", 2),
-    ("lmp2", "braid5", 1), ("gmp2max", "braid5", 1), ("witness", "braid5", 3),
+    ("analyze", "braid5", 1), ("totally-free", "braid5", 1), ("exponents", "braid5", 1),
+    ("lmp2", "braid5", 1), ("gmp2max", "braid5", 1), ("witness", "braid5", 2),
     ("analyze", "product-rank2", 0),
 ])
 def test_report_takes_the_rank_the_command_holds(capsys, monkeypatch, command, name, expected):
-    # The circuit search checks its precondition and postcondition with a rank
-    # each, and the brute circuit its postcondition; lmp2 and gmp2max compute
-    # the rank once and derive the certificate from it.  input_summary reuses
-    # a rank already computed, or the decomposition's.
+    # The circuit search takes the factor's rank from the decomposition and
+    # checks its postcondition with a rank, as the brute circuit does; lmp2
+    # and gmp2max compute the rank once and derive the certificate from it.
+    # input_summary reuses a rank already computed, or the decomposition's.
     calls = []
     rank = totalfree.Arrangement.rank
     monkeypatch.setattr(totalfree.Arrangement, "rank",
@@ -277,14 +279,45 @@ def test_lmp2_builds_its_flats_once(capsys, monkeypatch):
 
 
 def test_witness_checks_the_circuit_precondition_once(capsys, monkeypatch):
-    # The decomposition shows the factor connected and gives its rank; the
-    # brute-force circuit reuses both and still checks its own output.
-    checks = _count_calls(monkeypatch, totalfree.certificates, "_require_connected_rank3")
-    components = _count_calls(monkeypatch, totalfree.certificates, "connected_components")
+    # The decomposition shows the factor connected and gives its rank; both
+    # circuits reuse them, the induction checks them again with the one
+    # elimination of its first level (rank 4, then rank 3), and both
+    # circuits still check their own output.
+    levels = _count_calls(monkeypatch, totalfree.certificates, "_fundamental_circuits")
     postconditions = _count_calls(monkeypatch, totalfree.certificates, "is_generic_circuit")
     code, out, _ = run(capsys, "witness", "-i", str(GOLDEN / "braid5.arr"), "--json")
     assert code == 0 and json.loads(out)["result"]["circuit_brute_force"] == [0, 1, 2, 6, 8]
-    assert (len(checks), len(components), len(postconditions)) == (1, 7, 2)
+    assert (len(levels), len(postconditions)) == (2, 2)
+
+
+def _count_bindings(monkeypatch, module_name, name) -> list:
+    """Count calls of a package function through every module that binds it."""
+    calls = []
+    function = getattr(importlib.import_module(module_name), name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("totalfree.")]:
+        if getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_reuses_its_flats_and_eliminates_once_per_level(tmp_path, capsys, monkeypatch):
+    # Braid dim 8 (rank 7): the decomposition's components and
+    # essentialization, one elimination per level of the circuit induction
+    # (ranks 7 down to 3) and the circuit's rank postcondition; the factor's
+    # LMP2 reads the input's rank-2 flats.  The induction before one
+    # elimination per level made 32 eliminations and 2 flat passes here.
+    eliminations = _count_bindings(monkeypatch, "totalfree.linalg", "_eliminate")
+    flats = _count_bindings(monkeypatch, "totalfree.arrangement", "rank2_flats")
+    code, out, _ = run(capsys, "analyze", "-i", braid_file(tmp_path, 8), "--json")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["verdict"]["witness"]["k0"] == 242
+    assert len(result["rank2_flats"]) == 266
+    assert len(flats) == 1 and len(eliminations) <= 8
 
 
 def test_exponents_refuses_too_many_trivial_directions(tmp_path, capsys):
