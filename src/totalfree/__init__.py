@@ -24,7 +24,6 @@ from .arrangement import (
     parse_arrangement,
     product,
     rank2_flats,
-    restriction,
     subarrangement,
 )
 from .certificates import (

@@ -56,12 +56,18 @@ def normalize_hyperplane(coeffs: Sequence[Scalar]) -> Hyperplane:
     """Canonical form: clear denominators, divide by gcd, first nonzero > 0."""
     coeffs = [c if type(c) is int else _frac(c) for c in coeffs]  # ints need no Fraction
     den = math.lcm(*(c.denominator for c in coeffs))
-    coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+    return Hyperplane(_primitive([c.numerator * (den // c.denominator) for c in coeffs]))
+
+
+def _primitive(coeffs: Sequence[int]) -> IntVector:
+    """An integer covector divided by its gcd, first nonzero entry positive."""
     first = next((c for c in coeffs if c), 0)
     if not first:
         raise ValueError("zero covector does not define a hyperplane")
-    g = math.gcd(*coeffs) if first > 0 else -math.gcd(*coeffs)
-    return Hyperplane(tuple(c // g for c in coeffs))
+    g = math.gcd(*coeffs)
+    if g == 1 and first > 0:
+        return tuple(coeffs)
+    return tuple([c // g for c in coeffs] if first > 0 else [-c // g for c in coeffs])
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,7 @@ class Arrangement:
             if h.dim != self.dim:
                 raise DimensionMismatchError(
                     f"hyperplane {i} has dimension {h.dim}, expected {self.dim}")
-            # Proportional normals are one hyperplane, however they are written;
-            # a canonical normal (primitive, first nonzero > 0) is its own key.
-            key = h.normal
-            if math.gcd(*key) != 1 or next(c for c in key if c) < 0:
-                key = normalize_hyperplane(key).normal
+            key = _primitive(h.normal)  # proportional normals are one hyperplane
             if key in seen:
                 raise DuplicateHyperplaneError(
                     f"hyperplane {i} duplicates hyperplane {seen[key]}")
@@ -192,20 +194,24 @@ class Restriction:
 def restriction(arr: Arrangement, h0: int) -> Restriction:
     if not 0 <= h0 < arr.n:
         raise IndexError(f"hyperplane index {h0} out of range 0..{arr.n - 1}")
-    a0 = arr.hyperplanes[h0].normal
+    images, index_map = _restrict(arr.normals(), h0)
+    return Restriction(Arrangement(arr.dim - 1, tuple(map(Hyperplane, images))),
+                       tuple(index_map))
+
+
+def _restrict(normals: Sequence[IntVector], h0: int
+              ) -> tuple[list[IntVector], list[int | None]]:
+    """``restriction`` on normals, no two proportional: distinct images, index map."""
+    a0 = normals[h0]
     p = next(i for i, c in enumerate(a0) if c != 0)
     # Coordinates against the kernel basis a0[p] e_j - a0[j] e_p (j != p).
-    others = [j for j in range(arr.dim) if j != p]
+    others = [j for j in range(len(a0)) if j != p]
     index_of: dict[IntVector, int] = {}  # the distinct images, in order
     index_map: list[int | None] = []
-    for i, c in enumerate(arr.normals()):
-        if i == h0:
-            index_map.append(None)
-        else:
-            img = normalize_hyperplane([a0[p] * c[j] - a0[j] * c[p] for j in others])
-            index_map.append(index_of.setdefault(img.normal, len(index_of)))
-    return Restriction(Arrangement(arr.dim - 1, tuple(map(Hyperplane, index_of))),
-                       tuple(index_map))
+    for i, c in enumerate(normals):
+        img = None if i == h0 else _primitive([a0[p] * c[j] - a0[j] * c[p] for j in others])
+        index_map.append(None if img is None else index_of.setdefault(img, len(index_of)))
+    return list(index_of), index_map
 
 
 def product(a1: Arrangement, a2: Arrangement) -> Arrangement:

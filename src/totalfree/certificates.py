@@ -28,10 +28,11 @@ from math import comb, isqrt
 from .arrangement import (
     Arrangement,
     Flat2,
+    IntVector,
     Multiplicity,
+    _restrict,
     check_multiplicity,
     rank2_flats,
-    restriction,
     span_key,
     subarrangement,
 )
@@ -120,59 +121,60 @@ def gmp2_max_exhaustive(rank: int, total: int, limit: int = 500_000) -> int | No
 
 
 def is_generic_circuit(arr: Arrangement, indices: tuple[int, ...]) -> bool:
-    """Check the defining property: every triple of normals has rank 3."""
-    if len(set(indices)) != len(indices):
+    """The defining property: rank+1 distinct ints in range, every triple of rank 3."""
+    if (any(type(i) is not int or not 0 <= i < arr.n for i in indices)
+            or len(set(indices)) != len(indices) or len(indices) != arr.rank() + 1):
         return False
-    if len(indices) != arr.rank() + 1:
-        return False
-    return _all_triples_rank3(arr, indices)
+    return _all_triples_rank3([arr.hyperplanes[i].normal for i in indices])
 
 
-def _all_triples_rank3(arr: Arrangement, indices) -> bool:
-    """Every three of these distinct hyperplanes have rank 3 (see span_key)."""
-    normals = [arr.hyperplanes[i].normal for i in indices]
-    return all(span_key(a, b) != span_key(a, c)
-               for a, b, c in combinations(normals, 3))
+def _all_triples_rank3(normals: list[IntVector]) -> bool:
+    """Every three of these pairwise independent normals have rank 3: a < b < c
+    are dependent iff span_key(a, b) == span_key(a, c), so C(k, 2) keys do."""
+    for i, a in enumerate(normals[:-2]):
+        later = normals[i + 1:]
+        if len({span_key(a, b) for b in later}) != len(later):
+            return False
+    return True
 
 
 def _brute_circuit(arr: Arrangement, rank: int) -> list[int]:
-    """Lexicographically first (rank+1)-subset whose triples all have rank 3."""
-    n = arr.n
-    size = rank + 1
-    chosen: list[int] = []
+    """Lexicographically first (rank+1)-subset whose triples all have rank 3.
 
-    def extend(start: int) -> list[int] | None:
-        if len(chosen) == size:
-            return list(chosen)
-        for i in range(start, n - (size - len(chosen)) + 1):
-            if all(_all_triples_rank3(arr, (a, b, i))
-                   for a, b in combinations(chosen, 2)):
-                chosen.append(i)
-                found = extend(i + 1)
+    The chosen hyperplanes are generic, so another keeps them generic iff no
+    span_key of it with a chosen one is the plane of a chosen pair."""
+    normals = arr.normals()
+
+    def extend(chosen: list[int], planes: set) -> list[int] | None:
+        if len(chosen) == rank + 1:
+            return chosen
+        for i in range(chosen[-1] + 1 if chosen else 0, arr.n + len(chosen) - rank):
+            keys = {span_key(normals[a], normals[i]) for a in chosen}
+            if planes.isdisjoint(keys):
+                found = extend(chosen + [i], planes | keys)
                 if found is not None:
                     return found
-                chosen.pop()
         return None
 
-    found = extend(0)
+    found = extend([], set())
     if found is None:
         raise InternalInvariantError(
             "no generic circuit found; contradicts the connectivity lemma")
     return found
 
 
-def _connected_level(arr: Arrangement, rank: int,
+def _connected_level(normals: list[IntVector], rank: int,
                      circuits: list[set[int]] | None = None) -> list[set[int]]:
-    """The fundamental circuits of ``arr``, checked to be ``rank`` in one block."""
-    circuits = _fundamental_circuits(arr.normals()) if circuits is None else circuits
+    """The fundamental circuits of the normals, checked to be ``rank`` in one block."""
+    circuits = _fundamental_circuits(normals) if circuits is None else circuits
     if len(circuits) != rank or len(_blocks(circuits)) != 1:
         raise InternalInvariantError(f"induction level is not a connected rank-{rank} matroid")
     return circuits
 
 
-def _proof_circuit(arr: Arrangement, rank: int,
+def _proof_circuit(normals: list[IntVector], rank: int,
                    circuits: list[set[int]] | None = None) -> list[int]:
-    """Deletion/restriction induction; returns indices into ``arr``.
+    """Deletion/restriction induction on an arrangement's normals; returns their indices.
 
     Mirrors the inductive argument: delete the first hyperplane while that
     keeps the matroid connected, otherwise recurse into the restriction
@@ -187,27 +189,27 @@ def _proof_circuit(arr: Arrangement, rank: int,
     basis of the rest with the same fundamental circuits: the rest is
     connected iff those circuits, less the deleted hyperplanes, form one block.
     """
-    circuits = _connected_level(arr, rank, circuits)
-    n = arr.n
+    circuits = _connected_level(normals, rank, circuits)
+    n = len(normals)
     s = 0  # hyperplanes before s are deleted
     while n - s > rank + 1 and len(_blocks([{e for e in c if e > s} for c in circuits])) == 1:
         s += 1
     if min(max(c) for c in circuits) <= s:
         raise InternalInvariantError("circuit induction: a connected level has a coloop")
     if n - s == rank + 1:
-        if not _all_triples_rank3(arr, range(s, n)):
+        if not _all_triples_rank3(normals[s:]):
             raise InternalInvariantError(
                 "connected arrangement of size rank+1 with a dependent triple")
         return list(range(s, n))
-    restr = restriction(subarrangement(arr, range(s, n)) if s else arr, 0)
-    imap = [None] * s + list(restr.index_map)
+    images, imap = _restrict(normals[s:], 0)
+    imap = [None] * s + imap
     if rank == 3:
-        _connected_level(restr.arrangement, 2)
-        if restr.arrangement.n == n - s - 1:
+        _connected_level(images, 2)
+        if len(images) == n - s - 1:
             # All images distinct: any independent triple avoiding index s
             # completes a valid quadruple.
             for i, j, k in combinations(range(s + 1, n), 3):
-                if _all_triples_rank3(arr, (i, j, k)):
+                if _all_triples_rank3([normals[i], normals[j], normals[k]]):
                     return [s, i, j, k]
             raise InternalInvariantError("no independent triple in a rank-3 deletion")
         # Collision case: two hyperplanes sharing an image intersect inside
@@ -224,10 +226,10 @@ def _proof_circuit(arr: Arrangement, rank: int,
         if len(helpers) < 2:
             raise InternalInvariantError("connected restriction with fewer than 3 images")
         for candidate in ([s, helpers[0], helpers[1], a], [s, helpers[0], helpers[1], b]):
-            if _all_triples_rank3(arr, candidate):
+            if _all_triples_rank3([normals[i] for i in candidate]):
                 return sorted(candidate)
         raise InternalInvariantError("collision case produced no valid quadruple")
-    sub = _proof_circuit(restr.arrangement, rank - 1)
+    sub = _proof_circuit(images, rank - 1)
     return sorted([s] + [next(i for i in range(s + 1, n) if imap[i] == r) for r in sub])
 
 
@@ -255,7 +257,7 @@ def _generic_circuit(arr: Arrangement, rank: int, method: str,
                      circuits: list[set[int]] | None = None) -> tuple[int, ...]:
     """find_generic_circuit on an arrangement known to be connected, of this rank >= 3."""
     if method == "proof":
-        indices = _proof_circuit(arr, rank, circuits)
+        indices = _proof_circuit(arr.normals(), rank, circuits)
     elif method == "brute":
         indices = _brute_circuit(arr, rank)
     else:
@@ -533,11 +535,7 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
            for i in range(arr.n) if i not in indices):
         return False
     recomputed = lmp2(sub, m_sub)
-    if cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
-        return False
-    if recomputed < cert.lmp2_lower:
+    if recomputed < cert.lmp2_lower or cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
         return False
     upper = gmp2_max(cert.rank, cert.total_multiplicity)
-    if upper != cert.gmp2_upper:
-        return False
-    return recomputed > upper
+    return upper == cert.gmp2_upper and recomputed > upper

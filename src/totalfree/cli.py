@@ -4,6 +4,8 @@ Every command reads the arrangement text format, runs the exact analyses,
 and prints either aligned human-readable text or (with --json) a Report:
 a JSON object with command, input_summary, result and version, in which
 every number is an exact integer or a "p/q" rational string, never a float.
+``_json`` writes it byte-identical to ``json.dumps(report, indent=2)``, whose
+indented encoder is pure Python, and raises TypeError on a float.
 
 Exit codes: 0 success (--help and --version included), 1 input error
 (usage errors included), 3 NotTotallyFree under --strict.
@@ -13,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import __version__
@@ -139,11 +141,25 @@ def _load(args) -> tuple[Arrangement, Multiplicity]:
     return arr, m
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else, a float included, is a TypeError."""
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return int.__repr__(value) if isinstance(value, int) else encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"not a report value (exact, with str keys): {value!r:.60}")
+
+
 def _emit(args, report: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(human)
+    print(_json(report) if args.json else human)
 
 
 def _human_verdict(payload: dict) -> str:
@@ -188,9 +204,7 @@ def cmd_analyze(args) -> int:
         _human_verdict(result["verdict"]),
     ])
     _emit(args, report, human)
-    if args.strict and not verdict.totally_free:
-        return 3
-    return 0
+    return 3 if args.strict and not verdict.totally_free else 0
 
 
 def cmd_totally_free(args) -> int:
@@ -199,9 +213,7 @@ def cmd_totally_free(args) -> int:
     payload = verdict_payload(verdict)
     report = make_report("totally-free", arr, _rank(verdict.decomposition), payload)
     _emit(args, report, _human_verdict(payload))
-    if args.strict and not verdict.totally_free:
-        return 3
-    return 0
+    return 3 if args.strict and not verdict.totally_free else 0
 
 
 def cmd_exponents(args) -> int:

@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable grids of ``fractions.Fraction``.  Rank, reduced
-echelon forms, kernels, determinants and inverses all come from one
-fraction-free (Bareiss) elimination on integer-scaled rows, so the
-arithmetic is on Python integers with exact division; there is no floating
-point anywhere, and every predicate built on top of this module
-(codimension tests, membership tests, Saito determinants) is exact.
+One fraction-free (Bareiss) elimination, ``_eliminate``, on integer rows
+only: the other layers pass it their integer normals as they are.
+``Matrix``, an immutable grid of ``fractions.Fraction``, clears its rows'
+denominators before it calls that kernel and keeps their product for
+``det``.  There is no floating point anywhere, and every predicate built on
+top of this module (codimension tests, membership tests, Saito
+determinants) is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -28,26 +29,19 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
     return sum((_frac(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _eliminate(entries: Sequence[Sequence[Scalar]], cols: int, reduce: bool
-               ) -> tuple[list[list[int]], tuple[int, ...], int, int]:
-    """Fraction-free (Bareiss) elimination of integer-scaled rows.
+def _eliminate(rows: Iterable[Sequence[int]], cols: int, reduce: bool
+               ) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Fraction-free (Bareiss) elimination of integer rows.
 
-    Each row is multiplied by the lcm of its denominators, which keeps its
-    span.  Each update divides exactly by the previous pivot (Bareiss, Math.
-    Comp. 1968), so entries stay integers.  Rows below a pivot are cleared;
-    with ``reduce`` also the rows above, after which each pivot row holds the
-    last pivot in its pivot column and the rows past the rank are zero.
+    Each update divides exactly by the previous pivot (Bareiss, Math. Comp.
+    1968), so entries stay integers.  Rows below a pivot are cleared; with
+    ``reduce`` also the rows above, after which each pivot row holds the last
+    pivot in its pivot column and the rows past the rank are zero.
 
-    Returns the rows, the pivot columns, the last pivot signed by the row
-    swaps, and the product of the row scales: for a square matrix of full
-    rank the determinant is the third over the fourth.
+    Returns the rows, the pivot columns and the last pivot signed by the row
+    swaps: for a square matrix of full rank, its determinant.
     """
-    m = []
-    scale = 1
-    for row in entries:
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        m.append([x.numerator * (den // x.denominator) for x in row])
+    m = [list(row) for row in rows]
     n = len(m)
     pivots: list[int] = []
     prev, sign = 1, 1
@@ -55,8 +49,10 @@ def _eliminate(entries: Sequence[Sequence[Scalar]], cols: int, reduce: bool
         r = len(pivots)
         if r == n:
             break
-        p = next((i for i in range(r, n) if m[i][c]), None)
-        if p is None:
+        for p in range(r, n):
+            if m[p][c]:
+                break
+        else:
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
@@ -74,7 +70,7 @@ def _eliminate(entries: Sequence[Sequence[Scalar]], cols: int, reduce: bool
                 m[i] = [piv * a // prev for a in row]
         pivots.append(c)
         prev = piv
-    return m, tuple(pivots), sign * prev, scale
+    return m, tuple(pivots), sign * prev
 
 
 class Matrix:
@@ -97,6 +93,12 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
+    def _scaled(self) -> tuple[list[list[int]], int]:
+        """Each row times the lcm of its denominators (the same span), and their product."""
+        dens = [lcm(*(x.denominator for x in row)) for row in self.entries]
+        return [[x.numerator * (d // x.denominator) for x in row]
+                for d, row in zip(dens, self.entries)], prod(dens)
+
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
@@ -106,13 +108,13 @@ class Matrix:
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        rows, pivots, _, _ = _eliminate(self.entries, self.cols, reduce=True)
+        rows, pivots, _ = _eliminate(self._scaled()[0], self.cols, reduce=True)
         reduced = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
         return Matrix(reduced + rows[len(pivots):]), pivots
 
     def rank(self) -> int:
         """Exact rank over the rationals."""
-        return len(_eliminate(self.entries, self.cols, reduce=False)[1])
+        return len(_eliminate(self._scaled()[0], self.cols, reduce=False)[1])
 
     def kernel_basis(self) -> list[Vector]:
         """Basis of the right null space; empty iff the columns are independent.
@@ -122,10 +124,8 @@ class Matrix:
         free position.
         """
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
-        for f in free:
+        for f in [c for c in range(self.cols) if c not in pivots]:
             v = [Fraction(0)] * self.cols
             v[f] = Fraction(1)
             for i, p in enumerate(pivots):
@@ -136,7 +136,8 @@ class Matrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, last, scale = _eliminate(self.entries, self.cols, reduce=False)
+        rows, scale = self._scaled()
+        _, pivots, last = _eliminate(rows, self.cols, reduce=False)
         return Fraction(last, scale) if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> Matrix:

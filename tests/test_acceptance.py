@@ -24,10 +24,10 @@ from totalfree import (
     product,
     rank2_basis,
     rank2_exponents,
-    restriction,
     saito_verify,
     verify_certificate,
 )
+from totalfree.arrangement import restriction
 from totalfree.certificates import nonfree_multiplicity_family
 from oracles import bipartition_decompose, deletion, e2, random_invertible, rank_rows
 

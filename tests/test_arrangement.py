@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from totalfree import (
     Arrangement,
@@ -25,9 +25,8 @@ from totalfree import (
     product,
     rank2_exponents,
     rank2_flats,
-    restriction,
 )
-from totalfree.arrangement import is_member_at, localization, span_key
+from totalfree.arrangement import is_member_at, localization, restriction, span_key
 from totalfree.certificates import _all_triples_rank3
 from totalfree.linalg import Matrix
 from oracles import (
@@ -216,7 +215,20 @@ def test_rank2_structure_matches_fraction_reference(arr):
     assert [f.members for f in flats] == brute_rank2_flats(normals)
     for triple in combinations(range(arr.n), 3):
         expected = fraction_rank([normals[i] for i in triple], arr.dim) == 3
-        assert _all_triples_rank3(arr, triple) == expected
+        assert _all_triples_rank3([normals[i] for i in triple]) == expected
+
+
+@settings(max_examples=200)
+@given(small_arrangements(), st.data())
+def test_triple_check_from_pair_keys_matches_fraction_rank(arr, data):
+    # C(k, 2) span keys decide the rank of all C(k, 3) triples, in any order.
+    assume(arr.n >= 3)
+    normals = arr.normals()
+    size = data.draw(st.integers(3, min(7, arr.n)))
+    indices = data.draw(st.permutations(range(arr.n)))[:size]
+    expected = all(fraction_rank([normals[i] for i in triple], arr.dim) == 3
+                   for triple in combinations(indices, 3))
+    assert _all_triples_rank3([normals[i] for i in indices]) == expected
 
 
 @settings(max_examples=120)

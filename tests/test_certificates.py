@@ -33,11 +33,12 @@ from totalfree import (
     rank2_basis,
     rank2_exponents,
     rank2_flats,
-    restriction,
     subarrangement,
     verify_certificate,
 )
-from totalfree.certificates import _certificate, _verdict, nonfree_multiplicity_family
+from totalfree.arrangement import restriction
+from totalfree.certificates import (
+    _certificate, _generic_circuit, _verdict, nonfree_multiplicity_family)
 from oracles import (
     deletion, deletion_restriction_circuit, e2, exhaustive_e2_max, fraction_components,
     fraction_rank, random_invertible, random_unimodular)
@@ -232,6 +233,32 @@ def test_circuit_search_computes_the_rank_once(monkeypatch):
         calls.clear()
         assert find_generic_circuit(arr) == expected
         assert len(calls) == 1  # the postcondition; the precondition is the first elimination
+
+
+def test_circuit_induction_builds_no_arrangement(monkeypatch):
+    # Each level is a list of normals, restricted by arrangement._restrict;
+    # the parent built 8 Arrangements here, one restriction per level.
+    arr = essentialize(braid_arrangement(8))
+    built = []
+    post_init = Arrangement.__post_init__
+    monkeypatch.setattr(Arrangement, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    assert _generic_circuit(arr, 7, "proof") == (5, 11, 16, 20, 23, 24, 25, 26)
+    assert built == []
+
+
+def test_is_generic_circuit_refuses_negative_indices():
+    # -5..-2 would wrap around to 1..4, a generic circuit of braid dim 4.
+    arr = braid_arrangement(4)
+    assert is_generic_circuit(arr, (1, 2, 3, 4))
+    assert not is_generic_circuit(arr, (-5, -4, -3, -2))
+
+
+def test_is_generic_circuit_refuses_indices_out_of_range_and_bools():
+    arr = braid_arrangement(4)
+    assert not is_generic_circuit(arr, (0, 1, 2, 99))  # no IndexError
+    assert is_generic_circuit(arr, (0, 1, 4, 5))
+    assert not is_generic_circuit(arr, (False, True, 4, 5))
 
 
 @st.composite

@@ -1,16 +1,18 @@
 import importlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import totalfree
 import totalfree.certificates
 import totalfree.families
 import totalfree.rank2
 from totalfree import __version__, parse_arrangement, braid_arrangement, format_arrangement
-from totalfree.cli import build_parser, main
+from totalfree.cli import _json, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -487,3 +489,32 @@ def test_saito_verify_mixed_degree_block_names_its_line(tmp_path, capsys):
     code, out, err = run(capsys, "saito-verify", "-i", arr, "--basis", basis)
     assert code == 1 and out == ""
     assert err == "error: line 4: bad derivation block: components of mixed degrees [1, 2]\n"
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+_STRINGS = (st.text(st.characters(exclude_categories=()), max_size=8)  # lone surrogates too
+            | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "\ud800", "\udfff",
+                               "\u00e9", "\u2028", "\U0001f600"]))
+_BIG = st.integers(2**64, 2**300)
+_LEAVES = (st.none() | st.booleans() | st.integers() | _BIG | _BIG.map(lambda n: -n)
+           | _STRINGS)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(_STRINGS, _VALUES, max_size=5) | _VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": [1, 0.0]}, Fraction(1, 2), {"k": {1, 2}}, {1: "one"}, [{"ok": {None: 1}}],
+])
+def test_json_writer_refuses_what_a_report_cannot_hold(value):
+    with pytest.raises(TypeError):
+        _json(value)
