@@ -18,13 +18,11 @@ from .arrangement import (
     Multiplicity,
     arrangement,
     derivation,
-    essentialize,
     format_arrangement,
     normalize_hyperplane,
     parse_arrangement,
     product,
     rank2_flats,
-    subarrangement,
 )
 from .certificates import (
     CircuitCheck,
@@ -58,7 +56,6 @@ from .linalg import Matrix
 from .matroid import (
     Decomposition,
     Factor,
-    connected_components,
     decompose,
 )
 from .poly import HomPoly, divisible_by_power, parse_poly, poly_det, poly_to_str

@@ -53,8 +53,11 @@ class Hyperplane:
 
 
 def normalize_hyperplane(coeffs: Sequence[Scalar]) -> Hyperplane:
-    """Canonical form: clear denominators, divide by gcd, first nonzero > 0."""
+    """Canonical form of int or Fraction coefficients (else a TypeError): clear
+    denominators, divide by gcd, first nonzero > 0."""
     coeffs = [c if type(c) is int else _frac(c) for c in coeffs]  # ints need no Fraction
+    if all([type(c) is int for c in coeffs]):  # no denominators to clear
+        return Hyperplane(_primitive(coeffs))
     den = math.lcm(*(c.denominator for c in coeffs))
     return Hyperplane(_primitive([c.numerator * (den // c.denominator) for c in coeffs]))
 
@@ -173,9 +176,14 @@ def essentialize(arr: Arrangement) -> Arrangement:
     hyperplane order and distinctness, and has dimension the rank.  The
     ``arr.dim - rank`` dropped coordinates are the trivial directions.
     """
-    pivots = _eliminate(arr.normals(), arr.dim, reduce=False)[1]
-    return arrangement(len(pivots),
-                       [[h.normal[p] for p in pivots] for h in arr.hyperplanes])
+    return _essential(arr.normals(), arr.dim)
+
+
+def _essential(normals: Sequence[IntVector], dim: int) -> Arrangement:
+    """``essentialize`` on the normals of an arrangement: one elimination, one build."""
+    pivots = _eliminate(normals, dim, reduce=False)[1]
+    return Arrangement(len(pivots), tuple([Hyperplane(_primitive([a[p] for p in pivots]))
+                                           for a in normals]))
 
 
 @dataclass(frozen=True)
@@ -255,36 +263,45 @@ def span_key(u: Sequence[int], v: Sequence[int]) -> tuple[IntVector, IntVector]:
 
 
 def rank2_flats(arr: Arrangement) -> list[Flat2]:
-    """All closed rank-2 flats with their lines, ordered by their two smallest members.
+    """All closed rank-2 flats with their lines, ordered by their two smallest members."""
+    return _rank2_flats(arr.normals())
 
-    One integer pass over the pairs.  For each i, with normal u and first
-    nonzero coordinate p, each later j not yet covered gets w = u_p a - a_p u
-    (a its normal) on the two supports, so the cost does not grow with the
-    dimension; w = lambda_j * key, the key primitive, first nonzero entry
-    positive.  Equal keys mean one plane through u, so a key collects the flat
-    whose smallest member is i, and its pairs are marked covered.  With v the
-    second member, a = c1 u + c2 v gives w_a = c2 w_v, so a's line (c1, c2) is
-    (a_p lambda_v - lambda_a v_p, lambda_a u_p) up to scale, as ``localization``
-    (the oracle) finds.  An equal key proves a = (a_p u + w_a) / u_p lies in the
-    span of u and v, so no span check is skipped.
+
+def _rank2_flats(normals: Sequence[IntVector]) -> list[Flat2]:
+    """``rank2_flats`` of pairwise independent normals: one integer pass over the pairs.
+
+    For each i, with normal u and first nonzero coordinate p, each later j
+    not yet covered gets w = u_p a - a_p u (a its normal) on u's support, and
+    u_p a on the rest of a's support, so the cost does not grow with the
+    dimension; w = lambda_j * key, the key primitive, then those columns.
+    Equal keys mean one plane through u: a key collects the flat whose
+    smallest member is i, and its pairs are marked covered.  With v the
+    second member, a = c1 u + c2 v gives w_a = c2 w_v, so a's line (c1, c2)
+    is (a_p lambda_v - lambda_a v_p, lambda_a u_p) up to scale, as
+    ``localization`` (the oracle) finds: (0, 1) for a = v.  An equal key
+    proves a = (a_p u + w_a) / u_p lies in the span of u and v.
     """
-    normals = arr.normals()
-    supports = [{c for c, x in enumerate(a) if x} for a in normals]
+    supports = [tuple([c for c, x in enumerate(a) if x]) for a in normals]
     covered: list[set[int]] = [set() for _ in normals]
     flats = []
     for i, u in enumerate(normals):
-        p = min(supports[i])
-        up = u[p]
-        groups: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {}
+        on_u = [(c, u[c]) for c in supports[i]]
+        p, up = on_u[0]
+        in_u = set(supports[i])
+        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for j in range(i + 1, len(normals)):
             if j in covered[i]:
                 continue
             a, ap = normals[j], normals[j][p]
-            w = [(c, x) for c in sorted(supports[i] | supports[j])
-                 if (x := up * a[c] - ap * u[c])]
-            g = math.gcd(*[x for _, x in w]) * (1 if w[0][1] > 0 else -1)
-            groups.setdefault(tuple([(c, x // g) for c, x in w]), []).append((j, g))
+            w = [up * a[c] - ap * x for c, x in on_u]
+            off_u = [c for c in supports[j] if c not in in_u]
+            w += [up * a[c] for c in off_u]
+            g = math.gcd(*w) * (1 if next(filter(None, w)) > 0 else -1)
+            groups.setdefault((*[x // g for x in w], *off_u), []).append((j, g))
         for group in groups.values():
+            if len(group) == 1:  # a pair covers no later pair
+                flats.append(Flat2((i, group[0][0]), ((1, 0), (0, 1))))
+                continue
             members = (i, *[j for j, _ in group])
             for k in range(1, len(members)):
                 covered[members[k]].update(members[k + 1:])

@@ -15,29 +15,35 @@ rank >= 3 factor this module also produces a machine-checkable witness:
 A certificate compares exact integers: LMP2 as a sum of local exponent
 products over rank-2 flats, against the sharp balanced-partition maximum of
 GMP2 (never the looser real-valued bound, which is reported only for
-traceability).
+traceability).  LMP2 is summed by the pair term (``_lmp2``): a flat of two
+lines adds m_i * m_j without the sweep, on the emitting and the verifying
+side alike; every flat of three or more lines, and every row of
+``lmp2_breakdown``, has its exponents from a checked basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, isqrt
+from typing import Iterable, Sequence
 
 from .arrangement import (
     Arrangement,
     Flat2,
     IntVector,
     Multiplicity,
+    _primitive,
+    _rank2_flats,
     _restrict,
     check_multiplicity,
     rank2_flats,
     span_key,
-    subarrangement,
 )
 from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
-from .matroid import Decomposition, Factor, _blocks, _fundamental_circuits, decompose
+from .linalg import _eliminate
+from .matroid import Decomposition, Factor, _blocks, _decompose, _fundamental_circuits
 from .rank2 import ExponentPair, line_exponents
 
 # -- mixed products ----------------------------------------------------------
@@ -45,20 +51,33 @@ from .rank2 import ExponentPair, line_exponents
 
 def lmp2_breakdown(arr: Arrangement, m: Multiplicity
                    ) -> list[tuple[Flat2, ExponentPair]]:
-    """Per-flat localized exponent pairs; lmp2 is the sum of their products."""
+    """Per-flat exponent pairs from the checked sweep; lmp2 sums their products (oracle)."""
     check_multiplicity(arr, m)
-    return _breakdown(rank2_flats(arr), m)
-
-
-def _breakdown(flats: list[Flat2], m: Multiplicity) -> list[tuple[Flat2, ExponentPair]]:
-    """lmp2_breakdown from the flats and a checked multiplicity of their arrangement."""
     return [(flat, line_exponents(flat.lines, tuple([m[k] for k in flat.members])))
-            for flat in flats]
+            for flat in rank2_flats(arr)]
 
 
 def lmp2(arr: Arrangement, m: Multiplicity) -> int:
     """Second local mixed product: sum of d1*d2 over all rank-2 flats."""
-    return sum(pair.product for _, pair in lmp2_breakdown(arr, m))
+    check_multiplicity(arr, m)
+    return _lmp2(rank2_flats(arr), m, range(arr.n))
+
+
+def _e2(ms: Sequence[int]) -> int:
+    """The sum of m_i * m_j over all pairs."""
+    return (sum(ms) ** 2 - sum([x * x for x in ms])) // 2
+
+
+def _lmp2(flats: list[Flat2], m: Multiplicity, block: Iterable[int]) -> int:
+    """LMP2 on ``block`` under a checked ``m``, from its flats, by the pair term: two
+    hyperplanes lie in exactly one rank-2 flat and two lines have exponents (m_i, m_j),
+    so LMP2 = e2(m on the block) + (d1*d2 - e2(m on X)) over the flats X of 3+ lines."""
+    value = _e2([m[i] for i in block])
+    for flat in flats:
+        if len(flat.members) > 2:
+            ms = tuple([m[k] for k in flat.members])
+            value += line_exponents(flat.lines, ms).product - _e2(ms)
+    return value
 
 
 def gmp2_max(rank: int, total: int) -> int:
@@ -91,30 +110,19 @@ def gmp2_max_exhaustive(rank: int, total: int, limit: int = 500_000) -> int | No
     Independent cross-check of gmp2_max: enumerates non-increasing
     nonnegative tuples instead of trusting the balanced-partition argument.
     """
-    best = 0
-    count = 0
+    def squares(remaining: int, parts: int, largest: int):
+        """The sum of squares of each non-increasing completion with parts <= largest."""
+        if parts == 1:
+            if remaining <= largest:
+                yield remaining * remaining
+            return
+        for part in range(min(largest, remaining), -(-remaining // parts) - 1, -1):
+            for sq in squares(remaining - part, parts - 1, part):
+                yield part * part + sq
 
-    def rec(remaining: int, parts_left: int, max_part: int, acc_sq: int) -> bool:
-        nonlocal best, count
-        if parts_left == 1:
-            if remaining > max_part:
-                return True
-            count += 1
-            if count > limit:
-                return False
-            sq = acc_sq + remaining * remaining
-            e2 = (total * total - sq) // 2
-            best = max(best, e2)
-            return True
-        low = -(-remaining // parts_left)  # ceiling: keep parts non-increasing
-        for part in range(min(max_part, remaining), low - 1, -1):
-            if not rec(remaining - part, parts_left - 1, part, acc_sq + part * part):
-                return False
-        return True
-
-    if not rec(total, rank, total, 0):
-        return None
-    return best
+    found = squares(total, rank, total)
+    least = min(islice(found, limit), default=total * total)
+    return None if next(found, None) is not None else (total * total - least) // 2
 
 
 # -- generic circuits --------------------------------------------------------
@@ -129,11 +137,13 @@ def is_generic_circuit(arr: Arrangement, indices: tuple[int, ...]) -> bool:
 
 
 def _all_triples_rank3(normals: list[IntVector]) -> bool:
-    """Every three of these pairwise independent normals have rank 3: a < b < c
-    are dependent iff span_key(a, b) == span_key(a, c), so C(k, 2) keys do."""
+    """Every three of these pairwise independent normals have rank 3: a < b < c are
+    dependent iff a_p b - b_p a and a_p c - c_p a are proportional (p: a's first
+    nonzero coordinate), so C(k, 2) primitive keys do."""
     for i, a in enumerate(normals[:-2]):
-        later = normals[i + 1:]
-        if len({span_key(a, b) for b in later}) != len(later):
+        p = next(c for c, x in enumerate(a) if x)
+        keys = {_primitive([a[p] * y - b[p] * x for x, y in zip(a, b)]) for b in normals[i + 1:]}
+        if len(keys) != len(normals) - i - 1:
             return False
     return True
 
@@ -412,10 +422,11 @@ def _family(arr: Arrangement, circuit: tuple[int, ...]
     return circuit, k, m
 
 
-def _factor_family(factor: Factor) -> tuple[tuple[int, ...], int, Multiplicity]:
-    """nonfree_multiplicity_family of a connected factor of rank >= 3."""
+def _factor_family(factor: Factor, circuits: list[set[int]]
+                   ) -> tuple[tuple[int, ...], int, Multiplicity]:
+    """nonfree_multiplicity_family of a connected factor of rank >= 3 from its circuits."""
     arr = factor.arrangement
-    return _family(arr, _generic_circuit(arr, factor.rank, "proof"))
+    return _family(arr, _generic_circuit(arr, factor.rank, "proof", circuits))
 
 
 # -- the verdict -------------------------------------------------------------
@@ -463,21 +474,22 @@ def _verdict(arr: Arrangement, flats: list[Flat2] | None) -> Verdict:
     here).  The factor's LMP2 comes from those inside its block, which are
     the factor's flats: essentialization is linear and injective on the span,
     so their lines keep their exponents.  A flat meeting two blocks, of ranks
-    adding up to 2, is a pair.  The induction rechecks rank and connectivity."""
-    decomp = decompose(arr)
+    adding up to 2, is a pair.  The induction starts from the circuits of
+    the decomposition's elimination and rechecks rank and connectivity."""
+    decomp, circuits = _decompose(arr)
     if decomp.max_factor_rank() <= 2:
         return Verdict(True, decomp, None)
-    factor = next(f for f in decomp.factors if f.rank >= 3)
-    circuit, k0, m_factor = _factor_family(factor)
+    factor, circuits = next(fc for fc in zip(decomp.factors, circuits) if fc[0].rank >= 3)
+    circuit, k0, m_factor = _factor_family(factor, circuits)
     original = tuple(sorted(factor.indices[i] for i in circuit))
     m_full = tuple(k0 if i in original else 1 for i in range(arr.n))
     flats = rank2_flats(arr) if flats is None else flats
     block = set(factor.indices)
-    shared = [len(block.intersection(f.members)) for f in flats]
-    if any(0 < k < len(f.members) != 2 for f, k in zip(flats, shared)):
+    large = [f for f in flats if len(f.members) > 2]
+    shared = [len(block.intersection(f.members)) for f in large]
+    if any(0 < k < len(f.members) for f, k in zip(large, shared)):
         raise InternalInvariantError("a rank-2 flat across two factors is not a pair")
-    inside = [f for f, k in zip(flats, shared) if k == len(f.members)]
-    value = sum(pair.product for _, pair in _breakdown(inside, m_full))
+    value = _lmp2([f for f, k in zip(large, shared) if k], m_full, factor.indices)
     certificate = _certificate(value, factor.rank, sum(m_factor), m_full,
                                factor.indices, original, k0)
     return Verdict(False, decomp, Witness(factor, circuit, original, k0, certificate))
@@ -504,13 +516,14 @@ def _emission_recheck(cert: NonFreenessCertificate) -> None:
 def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     """Recompute a certificate through checked bases; True iff it stands.
 
-    LMP2 is rebuilt by ``lmp2``, whose rank-2 exponents come only from
-    bases checked in integers, as binary forms, before they were cached
-    (``rank2._min_degree``); no HomPoly or Fraction is built.  The GMP2
-    maximum is checked against ``gmp2_max``, an O(1) closed form with its
-    proof.  Indices must be distinct ints in range, multiplicities one
-    positive int per hyperplane, and the rank, LMP2, GMP2 and total ints,
-    the rank >= 1; anything else is False.
+    LMP2 is rebuilt by the pair term (``_lmp2``) from the rank-2 flats of the
+    indexed normals; the exponents of a flat of three or more lines come only
+    from bases checked in integers before they were cached
+    (``rank2._min_degree``).  No Arrangement, HomPoly or Fraction is built.
+    The GMP2 maximum is checked against ``gmp2_max``, an O(1) closed form
+    with its proof.  Indices must be distinct ints in range, multiplicities
+    one positive int per hyperplane, and the rank, LMP2, GMP2 and total
+    ints, the rank >= 1; anything else is False.
 
     The indices must be closed: every other hyperplane raises the rank.
     A closed set is a localization A_X, and localization keeps a
@@ -527,14 +540,16 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
         return False
     if len(set(indices) & set(range(arr.n))) != len(indices):
         return False
-    sub = subarrangement(arr, indices)
+    normals = [arr.hyperplanes[i].normal for i in indices]
     m_sub = tuple(cert.multiplicity[i] for i in indices)
-    if sum(m_sub) != cert.total_multiplicity or sub.rank() != cert.rank or cert.rank < 1:
+    if (sum(m_sub) != cert.total_multiplicity or cert.rank < 1
+            or len(_eliminate(normals, arr.dim, reduce=False)[1]) != cert.rank):
         return False
-    if any(subarrangement(arr, (*indices, i)).rank() == cert.rank
-           for i in range(arr.n) if i not in indices):
+    members = set(indices)
+    if any(len(_eliminate([*normals, h.normal], arr.dim, reduce=False)[1]) == cert.rank
+           for i, h in enumerate(arr.hyperplanes) if i not in members):
         return False
-    recomputed = lmp2(sub, m_sub)
+    recomputed = _lmp2(_rank2_flats(normals), m_sub, range(len(indices)))
     if recomputed < cert.lmp2_lower or cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
         return False
     upper = gmp2_max(cert.rank, cert.total_multiplicity)

@@ -55,7 +55,7 @@ from .errors import (
 from .families import boolean_arrangement, braid_arrangement, check_size, generic_arrangement
 from .poly import HomPoly, parse_poly, poly_to_str
 from .rank2 import exponents_totally_free, rank2_basis, saito_check
-from .matroid import Decomposition, decompose
+from .matroid import Decomposition, _decompose
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -143,18 +143,23 @@ def _load(args) -> tuple[Arrangement, Multiplicity]:
 
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for dicts with str keys, lists, tuples,
-    str, int, bool and None; anything else, a float included, is a TypeError."""
+    str, int, bool and None; anything else, a float included, is a TypeError.
+    An int or a str in a container is written in place, a list of ints in one join."""
+    inner = indent + "  "
+    if isinstance(value, dict) and all([isinstance(key, str) for key in value]):
+        items = [f"{encode_basestring_ascii(k)}: " + (
+                     int.__repr__(v) if type(v) is int else encode_basestring_ascii(v)
+                     if type(v) is str else _json(v, inner)) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = map(int.__repr__, value) if all([type(v) is int for v in value]) else [
+            int.__repr__(v) if type(v) is int else encode_basestring_ascii(v)
+            if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, (int, str)):
         return int.__repr__(value) if isinstance(value, int) else encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     raise TypeError(f"not a report value (exact, with str keys): {value!r:.60}")
 
 
@@ -163,23 +168,21 @@ def _emit(args, report: dict, human: str) -> None:
 
 
 def _human_verdict(payload: dict) -> str:
-    lines = []
     tag = "TotallyFree" if payload["totally_free"] else "NotTotallyFree"
-    lines.append(f"verdict: {tag}   (condition: {payload['condition']})")
     ranks = [f["rank"] for f in payload["factors"]]
-    lines.append(f"factors: {len(ranks)} with ranks {ranks}, "
-                 f"trivial directions: {payload['trivial_directions']}")
-    for f in payload["factors"]:
-        lines.append(f"  factor rank {f['rank']}: hyperplanes {f['indices']}")
+    lines = [f"verdict: {tag}   (condition: {payload['condition']})",
+             f"factors: {len(ranks)} with ranks {ranks}, "
+             f"trivial directions: {payload['trivial_directions']}"]
+    lines += [f"  factor rank {f['rank']}: hyperplanes {f['indices']}" for f in payload["factors"]]
     if "witness" in payload:
         w = payload["witness"]
         c = w["certificate"]
-        lines.append(f"witness factor: hyperplanes {w['factor_indices']}")
-        lines.append(f"generic circuit: {w['circuit_indices']}")
-        lines.append(f"k0: {w['k0']}")
-        lines.append(f"certificate: LMP2 {c['lmp2']} > {c['gmp2_max']} = GMP2max "
-                     f"(rank {c['rank']}, total multiplicity {c['total_multiplicity']})")
-        lines.append(f"non-free multiplicity: {w['certificate']['multiplicity_vector']}")
+        lines += [f"witness factor: hyperplanes {w['factor_indices']}",
+                  f"generic circuit: {w['circuit_indices']}",
+                  f"k0: {w['k0']}",
+                  f"certificate: LMP2 {c['lmp2']} > {c['gmp2_max']} = GMP2max "
+                  f"(rank {c['rank']}, total multiplicity {c['total_multiplicity']})",
+                  f"non-free multiplicity: {c['multiplicity_vector']}"]
     return "\n".join(lines)
 
 
@@ -190,7 +193,7 @@ def cmd_analyze(args) -> int:
     arr, m = _load(args)
     input_flats = rank2_flats(arr)
     verdict = _verdict(arr, input_flats)
-    flats = [{"members": list(f.members), "size": len(f.members)} for f in input_flats]
+    flats = [{"members": f.members, "size": len(f.members)} for f in input_flats]
     result = {
         "verdict": verdict_payload(verdict),
         "rank2_flats": flats,
@@ -337,11 +340,12 @@ def cmd_gmp2max(args) -> int:
 
 def cmd_witness(args) -> int:
     arr, _ = _load(args)
-    decomp = decompose(arr)
-    factor = next((f for f in decomp.factors if f.rank >= 3), None)
+    decomp, circuits = _decompose(arr)
+    factor, circuits = next(((f, c) for f, c in zip(decomp.factors, circuits) if f.rank >= 3),
+                            (None, None))
     if factor is None:
         raise ReducibleInputError("no irreducible factor of rank >= 3")
-    circuit_proof, k0, _ = _factor_family(factor)
+    circuit_proof, k0, _ = _factor_family(factor, circuits)
     circuit_brute = _generic_circuit(factor.arrangement, factor.rank, "brute")
     check = circuit_is_nonfree_check(factor.rank)
 

@@ -31,13 +31,9 @@ def braid_arrangement(dim: int) -> Arrangement:
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
     check_size(f"braid {dim}", dim, dim * (dim - 1) // 2)
-    rows = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            r = [0] * dim
-            r[i], r[j] = 1, -1
-            rows.append(tuple(r))
-    return Arrangement(dim, tuple(Hyperplane(r) for r in rows))
+    rows = [[int(k == i) - int(k == j) for k in range(dim)]
+            for i in range(dim) for j in range(i + 1, dim)]
+    return Arrangement(dim, tuple(Hyperplane(tuple(r)) for r in rows))
 
 
 def generic_arrangement(n: int, dim: int, seed: int = 0) -> Arrangement:

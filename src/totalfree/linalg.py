@@ -4,9 +4,9 @@ One fraction-free (Bareiss) elimination, ``_eliminate``, on integer rows
 only: the other layers pass it their integer normals as they are.
 ``Matrix``, an immutable grid of ``fractions.Fraction``, clears its rows'
 denominators before it calls that kernel and keeps their product for
-``det``.  There is no floating point anywhere, and every predicate built on
-top of this module (codimension tests, membership tests, Saito
-determinants) is exact.
+``det``.  There is no floating point anywhere (``_frac`` refuses a float or
+a bool), and every predicate built on top of this module (codimension
+tests, membership tests, Saito determinants) is exact.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ Vector = tuple[Fraction, ...]
 
 
 def _frac(x: Scalar) -> Fraction:
+    """An int or a Fraction as a Fraction; a float, a bool or any other value is a TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not an exact scalar (an int or a Fraction): {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

@@ -9,7 +9,10 @@ components of that graph are the matroid components, for any basis
 (Oxley, *Matroid Theory*, the chapter on connectivity).  One fraction-free
 reduced elimination of the normals, taken as columns, yields the basis and
 every circuit.  Each factor is the essentialization of its block: the
-block's normals restricted to the block's pivot coordinates.  All of it is
+block's normals restricted to the block's pivot coordinates.  That map is
+injective on the span, so it keeps circuits, and the last-first greedy basis
+of a direct sum restricts to each component: the same elimination gives
+each factor's own circuits to the circuit induction.  All of it is
 integer pivoting with no change-of-basis matrix, so the ambient dimension
 enters the cost only as the length of the normals.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, essentialize, subarrangement
+from .arrangement import Arrangement, _essential
 from .linalg import _eliminate
 
 
@@ -81,6 +84,17 @@ class Decomposition:
 
 def decompose(arr: Arrangement) -> Decomposition:
     """Split into irreducible essential factors ordered by smallest index."""
-    factors = tuple(Factor(essentialize(subarrangement(arr, block)), block)
-                    for block in connected_components(arr))
-    return Decomposition(arr.dim, factors, arr.dim - sum(f.rank for f in factors))
+    return _decompose(arr)[0]
+
+
+def _decompose(arr: Arrangement) -> tuple[Decomposition, list[list[set[int]]]]:
+    """``decompose`` and each factor's fundamental circuits, by position in its block."""
+    normals = arr.normals()
+    circuits = _fundamental_circuits(normals)
+    factors, factor_circuits = [], []
+    for block in sorted(tuple(sorted(b)) for b in _blocks(circuits)):
+        position = {e: k for k, e in enumerate(block)}
+        factor_circuits.append([{position[e] for e in c} for c in circuits if max(c) in position])
+        factors.append(Factor(_essential([normals[i] for i in block], arr.dim), block))
+    decomposition = Decomposition(arr.dim, tuple(factors), arr.dim - sum(f.rank for f in factors))
+    return decomposition, factor_circuits

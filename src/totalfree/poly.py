@@ -66,13 +66,8 @@ class HomPoly:
     def linear(cls, coeffs: Sequence[Scalar]) -> HomPoly:
         """The linear form with the given covector of coefficients."""
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return cls.from_terms(n, terms)
+        return cls.from_terms(n, {tuple([int(j == i) for j in range(n)]): c
+                                  for i, c in enumerate(coeffs)})
 
     # -- predicates --------------------------------------------------------
 
@@ -95,12 +90,8 @@ class HomPoly:
             raise ValueError(f"cannot add homogeneous degrees {self.degree} and {other.degree}")
         terms = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return HomPoly.from_terms(self.num_vars, terms)
+            terms[e] = terms.get(e, 0) + c
+        return HomPoly.from_terms(self.num_vars, terms)  # it drops the zeros
 
     def __neg__(self) -> HomPoly:
         return self.scale(-1)
@@ -119,11 +110,7 @@ class HomPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+                terms[e] = terms.get(e, 0) + c1 * c2
         return HomPoly.from_terms(self.num_vars, terms)
 
 
@@ -198,15 +185,9 @@ def poly_det(grid: Sequence[Sequence[HomPoly]]) -> HomPoly:
             return grid[row][cols[0]]
         total = HomPoly.zero(num_vars)
         for k, c in enumerate(cols):
-            entry = grid[row][c]
-            if entry.is_zero():
-                continue
-            rest = cols[:k] + cols[k + 1:]
-            minor = expand(row + 1, rest)
-            term = entry * minor
-            if k % 2:
-                term = -term
-            total = term if total.is_zero() else total + term
+            if not grid[row][c].is_zero():
+                term = grid[row][c] * expand(row + 1, cols[:k] + cols[k + 1:])
+                total = total + (-term if k % 2 else term)
         return total
 
     return expand(0, tuple(range(n)))
@@ -222,28 +203,12 @@ _COEFF_RE = re.compile(r"[0-9]+(/[1-9][0-9]*)?")
 def poly_to_str(f: HomPoly) -> str:
     if f.is_zero():
         return "0"
-    parts = []
+    out = ""
     for e in sorted(f.coeffs, reverse=True):
         c = f.coeffs[e]
-        factors = []
-        for i, k in enumerate(e):
-            if k == 1:
-                factors.append(f"x{i + 1}")
-            elif k > 1:
-                factors.append(f"x{i + 1}^{k}")
-        body = "*".join(factors)
-        if not body:
-            term = str(abs(c))
-        elif abs(c) == 1:
-            term = body
-        else:
-            term = f"{abs(c)}*{body}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, term))
-    first_sign, first_term = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        out += f" {sign} {term}"
+        body = "*".join(f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k)
+        term = body if body and abs(c) == 1 else f"{abs(c)}*{body}" if body else str(abs(c))
+        out += (" - " if c < 0 else " + ") + term if out else ("-" if c < 0 else "") + term
     return out
 
 
@@ -256,23 +221,10 @@ def parse_poly(text: str, num_vars: int) -> HomPoly:
     s = text.strip()
     if not s or s == "0":
         return HomPoly.zero(num_vars)
-    # Split into signed terms at top level (no parentheses in this grammar).
-    terms: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-":
-            terms.append((sign, "".join(buf)))
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    terms.append((sign, "".join(buf)))
+    # Split into signed terms at every sign (no parentheses in this grammar).
+    pieces = re.split(r"([+-])", s)
+    pieces = pieces[1:] if not pieces[0] else ["+", *pieces]
+    terms = [(-1 if sign == "-" else 1, chunk) for sign, chunk in zip(pieces[::2], pieces[1::2])]
 
     total: dict[Exponent, Fraction] = {}
     for sgn, chunk in terms:

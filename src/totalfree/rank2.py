@@ -9,8 +9,8 @@ It runs in coordinates where the two heaviest lines are the axes.
 
 ``_min_degree`` checks its generators as a basis there, in integers
 (``_is_basis``), before it returns and caches them, so every exponent pair
-read from it is checked: ``rank2_exponents``, ``lmp2`` and
-``verify_certificate`` build no polynomial object.  Only ``rank2_basis``
+read from it is checked: ``rank2_exponents``, ``lmp2_breakdown`` and the
+pair term's larger flats build no polynomial object.  Only ``rank2_basis``
 builds HomPoly derivations, mapped back by adj(C) (``_to_original``), to
 print them.  ``saito_check`` evaluates Saito's criterion on derivations a
 user supplies, in any dimension.
@@ -168,7 +168,7 @@ def rank2_exponents(arr2: Arrangement, m: Multiplicity) -> ExponentPair:
 def line_exponents(lines: tuple[IntVector, ...], m: tuple[int, ...]) -> ExponentPair:
     """Exponents of distinct primitive lines under checked multiplicities: the
     one read of the checked cache, for ``rank2_exponents`` after its checks
-    and for ``lmp2_breakdown`` on each flat's lines."""
+    and for ``lmp2_breakdown`` and the pair term on each flat's lines."""
     if len(lines) == 1:
         return ExponentPair(0, m[0])
     (d1, _, _), (d2, _, _) = _min_degree(lines, m)

@@ -16,7 +16,6 @@ from totalfree import (
     boolean_arrangement,
     braid_arrangement,
     derivation,
-    essentialize,
     format_arrangement,
     generic_arrangement,
     lmp2_breakdown,
@@ -26,7 +25,7 @@ from totalfree import (
     rank2_exponents,
     rank2_flats,
 )
-from totalfree.arrangement import is_member_at, localization, restriction, span_key
+from totalfree.arrangement import essentialize, is_member_at, localization, restriction, span_key
 from totalfree.certificates import _all_triples_rank3
 from totalfree.linalg import Matrix
 from oracles import (
@@ -55,6 +54,17 @@ def test_normalize_idempotent_and_equality():
         h = normalize_hyperplane(v)
         assert normalize_hyperplane(h.normal) == h
         assert normalize_hyperplane([c * Fraction(-7, 3) for c in v]) == h
+
+
+def test_floats_and_bools_are_refused_by_name():
+    # Fraction would take the float 0.1 as 3602879701896397/36028797018963968
+    # and True as 1, silently.
+    with pytest.raises(TypeError, match="0.1"):
+        arrangement(2, [[0.1, 1], [1, 0]])
+    with pytest.raises(TypeError, match="True"):
+        normalize_hyperplane([True, 2])
+    with pytest.raises(TypeError, match="2.0"):
+        normalize_hyperplane([Fraction(1, 2), 2.0])
 
 
 @settings(max_examples=200)

@@ -1,7 +1,11 @@
 import dataclasses
+import json
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -17,7 +21,6 @@ from totalfree import (
     braid_arrangement,
     circuit_is_nonfree_check,
     decide_totally_free,
-    essentialize,
     find_generic_circuit,
     generic_arrangement,
     gmp2_max,
@@ -33,12 +36,13 @@ from totalfree import (
     rank2_basis,
     rank2_exponents,
     rank2_flats,
-    subarrangement,
     verify_certificate,
 )
-from totalfree.arrangement import restriction
+from totalfree.arrangement import essentialize, format_arrangement, restriction, subarrangement
+from totalfree.cli import main
+from totalfree.matroid import connected_components, decompose
 from totalfree.certificates import (
-    _certificate, _generic_circuit, _verdict, nonfree_multiplicity_family)
+    CertificateExplanation, _certificate, _generic_circuit, _verdict, nonfree_multiplicity_family)
 from oracles import (
     deletion, deletion_restriction_circuit, e2, exhaustive_e2_max, fraction_components,
     fraction_rank, random_invertible, random_unimodular)
@@ -204,7 +208,7 @@ def test_find_circuit_braid_s5_and_s6():
 
 def test_find_circuit_generic_input():
     arr = generic_arrangement(6, 4, seed=8)
-    if arr.rank() >= 3 and len(__import__("totalfree").connected_components(arr)) == 1:
+    if arr.rank() >= 3 and len(connected_components(arr)) == 1:
         for method in ("proof", "brute"):
             assert is_generic_circuit(arr, find_generic_circuit(arr, method))
 
@@ -214,7 +218,6 @@ def test_find_circuit_case1_branch():
     # restriction to x+2y+z has no image collisions, so the rank-3 base case
     # runs its all-images-distinct branch.
     arr = arrangement(3, [(1, 2, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
-    from totalfree import connected_components
     assert len(connected_components(arr)) == 1
     assert len(connected_components(deletion(arr, 0))) == 2
     res = restriction(arr, 0)
@@ -261,12 +264,25 @@ def test_is_generic_circuit_refuses_indices_out_of_range_and_bools():
     assert not is_generic_circuit(arr, (False, True, 4, 5))
 
 
+def test_is_generic_circuit_refuses_a_dependent_triple():
+    # rank + 1 distinct indices in range, so only the triple check can refuse:
+    # x1 - x2, x1 - x3 and x2 - x3 (indices 0, 1, 3) lie in one plane.
+    assert not is_generic_circuit(braid_arrangement(4), (0, 1, 2, 3))
+
+
+def test_is_generic_circuit_refuses_the_index_n():
+    arr = braid_arrangement(4)
+    assert is_generic_circuit(arr, (1, 2, 3, 4))
+    assert is_generic_circuit(arr, (1, 2, 3, arr.n)) is False  # no IndexError
+
+
 @st.composite
-def _connected_rank3_inputs(draw):
+def _connected_rank3_inputs(draw, max_braid: int = 9):
     """A random connected arrangement (dims 3-6, entries in [-3, 3]) or a
-    braid arrangement of dim 4-9 in unimodular coordinates; with its rank."""
+    braid arrangement of dim 4 to ``max_braid`` in unimodular coordinates;
+    with its rank."""
     if draw(st.booleans()):
-        dim = draw(st.integers(4, 9))
+        dim = draw(st.integers(4, max_braid))
         change = random_unimodular(draw(st.randoms(use_true_random=False)), dim)
         rows = [[sum(a[i] * change[i][j] for i in range(dim)) for j in range(dim)]
                 for a in braid_arrangement(dim).normals()]
@@ -314,9 +330,110 @@ def test_verdict_lmp2_from_the_input_flats_matches_the_factor_pass(cases, lines,
     assert w.certificate.lmp2_lower == lmp2(w.factor.arrangement, m_factor)
 
 
+@settings(max_examples=80)
+@given(st.lists(_connected_rank3_inputs(max_braid=5), max_size=2),
+       st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2).filter(any),
+                max_size=4),
+       st.lists(st.integers(1, 5), min_size=26, max_size=26),
+       st.randoms(use_true_random=False))
+def test_pair_term_matches_the_sweep_on_every_flat(cases, lines, mults, rng):
+    # lmp2, the verdict's certificate and verify_certificate's recomputation
+    # add m_i * m_j for a two-line flat; lmp2_breakdown sweeps every flat.
+    # Each must equal the breakdown's sum over the flats inside its block:
+    # the whole input, or a factor of a product in coordinates that mix them.
+    parts = [arr for arr, _ in cases]
+    if any(lines):
+        parts.append(arrangement(2, dict.fromkeys(normalize_hyperplane(v).normal for v in lines)))
+    assume(parts)
+    arr = parts[0]
+    for part in parts[1:]:
+        arr = product(arr, part)
+    change = random_unimodular(rng, arr.dim)
+    arr = arrangement(arr.dim, [[sum(a[i] * change[i][j] for i in range(arr.dim))
+                                 for j in range(arr.dim)] for a in arr.normals()])
+    m = tuple(mults[:arr.n])
+
+    def swept(m, block):
+        return sum(pair.product for flat, pair in lmp2_breakdown(arr, m)
+                   if block.issuperset(flat.members))
+
+    assert lmp2(arr, m) == swept(m, set(range(arr.n)))
+    verdict = decide_totally_free(arr)
+    if not verdict.totally_free:
+        cert = verdict.witness.certificate
+        assert cert.lmp2_lower == swept(cert.multiplicity, set(verdict.witness.factor.indices))
+    blocks = [(tuple(range(arr.n)), arr.rank())]
+    blocks += [(f.indices, f.rank) for f in decompose(arr).factors]
+    event(f"{len(blocks) - 1} factors, totally free: {verdict.totally_free}")
+    for block, rank in blocks:
+        total = sum(m[i] for i in block)
+        bound = gmp2_max(rank, total)
+        # lmp2_lower passes the inequality, so verification reaches the recomputation.
+        claim = totalfree.NonFreenessCertificate(
+            bound + 1, False, bound, rank, total, m,
+            CertificateExplanation("LMP2>GMP2max", block, None, None, None,
+                                   gmp2_real_bound(rank, total)))
+        recomputed = []
+        pass_term = totalfree.certificates._lmp2
+
+        def recording(*args):
+            recomputed.append(pass_term(*args))
+            return recomputed[-1]
+
+        with mock.patch.object(totalfree.certificates, "_lmp2", recording):
+            verify_certificate(arr, claim)
+        assert recomputed == [swept(m, set(block))]
+
+
+def _counting(monkeypatch) -> Counter:
+    """Counts of eliminations, Arrangement builds, flat passes and exponent reads."""
+    counts = Counter()
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: counts.update([name]) or fn(*args, **kwargs)
+
+    modules = {name: sys.modules[f"totalfree.{name}"]  # totalfree.arrangement is a function
+               for name in ("linalg", "arrangement", "matroid", "certificates")}
+    for module in modules.values():
+        monkeypatch.setattr(module, "_eliminate", counted("elim", module._eliminate))
+    for module in (modules["arrangement"], modules["certificates"]):
+        monkeypatch.setattr(module, "_rank2_flats", counted("flats", module._rank2_flats))
+    monkeypatch.setattr(totalfree.certificates, "line_exponents",
+                        counted("reads", totalfree.certificates.line_exponents))
+    post_init = Arrangement.__post_init__
+    monkeypatch.setattr(Arrangement, "__post_init__",
+                        lambda self: counts.update(["built"]) or post_init(self))
+    return counts
+
+
+def test_analyze_builds_each_structure_once(monkeypatch, tmp_path, capsys):
+    # Braid dim 8: the decomposition's elimination gives the induction its
+    # first level (an elimination of its own made 8), the factor is built
+    # once (a subarrangement copy essentialized through arrangement() made
+    # 3 builds), one pass finds the 266 flats and the pair term reads
+    # exponents for the 56 flats of three lines only.
+    path = tmp_path / "braid8.arr"
+    path.write_text(format_arrangement(braid_arrangement(8)))
+    counts = _counting(monkeypatch)
+    assert main(["analyze", "--json", "-i", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert len(result["rank2_flats"]) == 266
+    assert result["verdict"]["witness"]["certificate"]["lmp2"] == 1674308
+    assert counts == {"elim": 7, "built": 2, "flats": 1, "reads": 56}
+
+
+def test_verify_certificate_builds_no_arrangement(monkeypatch):
+    # Rank, closure and flats come from the indexed normals; braid dim 5 has
+    # C(5, 3) = 10 flats of three lines.
+    arr = braid_arrangement(5)
+    cert = decide_totally_free(arr).witness.certificate
+    counts = _counting(monkeypatch)
+    assert verify_certificate(arr, cert)
+    assert counts == {"elim": 1, "flats": 1, "reads": 10}
+
+
 def test_find_circuit_fuzz_random_connected():
     rng = random.Random(63)
-    from totalfree import connected_components
     found = 0
     while found < 12:
         dim = rng.randint(3, 5)

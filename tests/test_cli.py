@@ -281,15 +281,15 @@ def test_lmp2_builds_its_flats_once(capsys, monkeypatch):
 
 
 def test_witness_checks_the_circuit_precondition_once(capsys, monkeypatch):
-    # The decomposition shows the factor connected and gives its rank; both
-    # circuits reuse them, the induction checks them again with the one
-    # elimination of its first level (rank 4, then rank 3), and both
-    # circuits still check their own output.
+    # The decomposition shows the factor connected and gives its rank and its
+    # fundamental circuits; both circuits reuse them, the induction checks
+    # them again at its first level (rank 4) and eliminates once more at
+    # rank 3, and both circuits still check their own output.
     levels = _count_calls(monkeypatch, totalfree.certificates, "_fundamental_circuits")
     postconditions = _count_calls(monkeypatch, totalfree.certificates, "is_generic_circuit")
     code, out, _ = run(capsys, "witness", "-i", str(GOLDEN / "braid5.arr"), "--json")
     assert code == 0 and json.loads(out)["result"]["circuit_brute_force"] == [0, 1, 2, 6, 8]
-    assert (len(levels), len(postconditions)) == (2, 2)
+    assert (len(levels), len(postconditions)) == (1, 2)
 
 
 def _count_bindings(monkeypatch, module_name, name) -> list:

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from totalfree.linalg import Matrix, dot
+from totalfree.linalg import Matrix, _frac, dot
 from oracles import fraction_det, fraction_rank, fraction_rref
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -120,3 +121,19 @@ def test_elimination_matches_fraction_reference(data):
         assert m.det() == 0
         with pytest.raises(ValueError):
             m.inverse()
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, False, "1/2", None, 1j])
+def test_frac_refuses_every_value_but_an_int_or_a_fraction(value):
+    # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True)
+    # is 1: neither may pass silently.
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        _frac(value)
+
+
+def test_frac_keeps_ints_and_fractions():
+    assert _frac(3) == Fraction(3) and type(_frac(3)) is Fraction
+    half = Fraction(1, 2)
+    assert _frac(half) is half
+    with pytest.raises(TypeError, match="0.5"):
+        Matrix([[1, 0.5]])

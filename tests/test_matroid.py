@@ -14,17 +14,16 @@ from totalfree import (
     arrangement,
     boolean_arrangement,
     braid_arrangement,
-    connected_components,
     decide_totally_free,
     decompose,
-    essentialize,
     format_arrangement,
     generic_arrangement,
     normalize_hyperplane,
     product,
-    subarrangement,
 )
+from totalfree.arrangement import essentialize, subarrangement
 from totalfree.cli import main
+from totalfree.matroid import connected_components
 from oracles import (
     assert_pivot_restriction,
     bipartition_decompose,

@@ -359,6 +359,19 @@ def test_integer_basis_check_rejects_wrong_conjugation(case):
         assert not _is_basis(normals, m, lines, wrong, gens)
 
 
+@settings(max_examples=50)
+@given(rank2_inputs())
+def test_integer_basis_check_rejects_singular_or_ragged_input_alone(case):
+    # C = 0 passes every proportionality check, and a zero appended to one q
+    # changes no membership and no determinant (zip stops at the shorter):
+    # each is refused by its own first test only.
+    arr, m = case
+    normals, lines, change, gens = _sweep(arr, m)
+    assert not _is_basis(normals, m, lines, ((0, 0), (0, 0)), gens)
+    (p1, q1), second = gens
+    assert not _is_basis(normals, m, lines, change, [(p1, q1 + [0]), second])
+
+
 @pytest.mark.parametrize("normals", [[(1, 0), (0, 1), (1, -1)], [(2, 1), (1, -3), (3, 2)]])
 def test_three_lines_match_wakamiko(normals):
     arr = arrangement(2, normals)
