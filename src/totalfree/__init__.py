@@ -53,11 +53,7 @@ from .errors import (
 )
 from .families import boolean_arrangement, braid_arrangement, generic_arrangement
 from .linalg import Matrix
-from .matroid import (
-    Decomposition,
-    Factor,
-    decompose,
-)
+from .matroid import Decomposition, Factor, decompose
 from .poly import HomPoly, divisible_by_power, parse_poly, poly_det, poly_to_str
 from .rank2 import (
     ExponentPair,

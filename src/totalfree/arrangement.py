@@ -100,7 +100,7 @@ class Arrangement:
         return [h.normal for h in self.hyperplanes]
 
     def rank(self) -> int:
-        return len(_eliminate(self.normals(), self.dim, reduce=False)[1])
+        return len(_eliminate(zip(*self.normals()), self.n, reduce=False)[1])  # the short side
 
     def __str__(self) -> str:
         body = ", ".join(str(h) for h in self.hyperplanes)
@@ -179,9 +179,11 @@ def essentialize(arr: Arrangement) -> Arrangement:
     return _essential(arr.normals(), arr.dim)
 
 
-def _essential(normals: Sequence[IntVector], dim: int) -> Arrangement:
-    """``essentialize`` on the normals of an arrangement: one elimination, one build."""
-    pivots = _eliminate(normals, dim, reduce=False)[1]
+def _essential(normals: Sequence[IntVector], dim: int, basis: Sequence[IntVector] = ()
+               ) -> Arrangement:
+    """``essentialize`` on the normals of an arrangement: one elimination, one build.
+    The pivots come from ``basis``, if given: rows with the normals' row space."""
+    pivots = _eliminate(basis or normals, dim, reduce=False)[1]
     return Arrangement(len(pivots), tuple([Hyperplane(_primitive([a[p] for p in pivots]))
                                            for a in normals]))
 
@@ -264,15 +266,16 @@ def span_key(u: Sequence[int], v: Sequence[int]) -> tuple[IntVector, IntVector]:
 
 def rank2_flats(arr: Arrangement) -> list[Flat2]:
     """All closed rank-2 flats with their lines, ordered by their two smallest members."""
-    return _rank2_flats(arr.normals())
+    return [Flat2(*flat) for flat in _rank2_flats(arr.normals())]
 
 
-def _rank2_flats(normals: Sequence[IntVector]) -> list[Flat2]:
-    """``rank2_flats`` of pairwise independent normals: one integer pass over the pairs.
+def _rank2_flats(normals: Sequence[IntVector]) -> list[tuple[tuple[int, ...], tuple]]:
+    """``rank2_flats`` of pairwise independent normals as (members, lines) pairs.
 
     For each i, with normal u and first nonzero coordinate p, each later j
-    not yet covered gets w = u_p a - a_p u (a its normal) on u's support, and
-    u_p a on the rest of a's support, so the cost does not grow with the
+    not yet covered gets w = u_p a - a_p u (a its normal) on u's support
+    other than p, where it is 0, and u_p a on the rest of a's support (read
+    only when u's is not full), so the cost does not grow with the
     dimension; w = lambda_j * key, the key primitive, then those columns.
     Equal keys mean one plane through u: a key collects the flat whose
     smallest member is i, and its pairs are marked covered.  With v the
@@ -281,26 +284,28 @@ def _rank2_flats(normals: Sequence[IntVector]) -> list[Flat2]:
     ``localization`` (the oracle) finds: (0, 1) for a = v.  An equal key
     proves a = (a_p u + w_a) / u_p lies in the span of u and v.
     """
+    gcd = math.gcd
     supports = [tuple([c for c, x in enumerate(a) if x]) for a in normals]
     covered: list[set[int]] = [set() for _ in normals]
     flats = []
     for i, u in enumerate(normals):
-        on_u = [(c, u[c]) for c in supports[i]]
-        p, up = on_u[0]
-        in_u = set(supports[i])
+        p, *rest = supports[i]
+        up, on_u = u[p], [(c, u[c]) for c in rest]
+        in_u = set(supports[i]) if len(supports[i]) < len(u) else None  # None: full
         groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for j in range(i + 1, len(normals)):
             if j in covered[i]:
                 continue
             a, ap = normals[j], normals[j][p]
             w = [up * a[c] - ap * x for c, x in on_u]
-            off_u = [c for c in supports[j] if c not in in_u]
-            w += [up * a[c] for c in off_u]
-            g = math.gcd(*w) * (1 if next(filter(None, w)) > 0 else -1)
-            groups.setdefault((*[x // g for x in w], *off_u), []).append((j, g))
+            off_u = () if in_u is None else [c for c in supports[j] if c not in in_u]
+            if off_u:
+                w += [up * a[c] for c in off_u]
+            g = gcd(*w) * (1 if next(filter(None, w)) > 0 else -1)
+            groups.setdefault((*(w if g == 1 else [x // g for x in w]), *off_u), []).append((j, g))
         for group in groups.values():
             if len(group) == 1:  # a pair covers no later pair
-                flats.append(Flat2((i, group[0][0]), ((1, 0), (0, 1))))
+                flats.append(((i, group[0][0]), ((1, 0), (0, 1))))
                 continue
             members = (i, *[j for j, _ in group])
             for k in range(1, len(members)):
@@ -309,9 +314,9 @@ def _rank2_flats(normals: Sequence[IntVector]) -> list[Flat2]:
             lines = [(1, 0)]
             for j, lam in group:
                 c1, c2 = normals[j][p] * lam_v - lam * vp, lam * up
-                g = math.gcd(c1, c2) * (1 if c1 > 0 or not c1 and c2 > 0 else -1)
+                g = gcd(c1, c2) * (1 if c1 > 0 or not c1 and c2 > 0 else -1)
                 lines.append((c1 // g, c2 // g))
-            flats.append(Flat2(members, tuple(lines)))
+            flats.append((members, tuple(lines)))
     return flats
 
 

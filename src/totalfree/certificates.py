@@ -60,7 +60,7 @@ def lmp2_breakdown(arr: Arrangement, m: Multiplicity
 def lmp2(arr: Arrangement, m: Multiplicity) -> int:
     """Second local mixed product: sum of d1*d2 over all rank-2 flats."""
     check_multiplicity(arr, m)
-    return _lmp2(rank2_flats(arr), m, range(arr.n))
+    return _lmp2(_rank2_flats(arr.normals()), m, range(arr.n))
 
 
 def _e2(ms: Sequence[int]) -> int:
@@ -68,15 +68,15 @@ def _e2(ms: Sequence[int]) -> int:
     return (sum(ms) ** 2 - sum([x * x for x in ms])) // 2
 
 
-def _lmp2(flats: list[Flat2], m: Multiplicity, block: Iterable[int]) -> int:
-    """LMP2 on ``block`` under a checked ``m``, from its flats, by the pair term: two
-    hyperplanes lie in exactly one rank-2 flat and two lines have exponents (m_i, m_j),
-    so LMP2 = e2(m on the block) + (d1*d2 - e2(m on X)) over the flats X of 3+ lines."""
+def _lmp2(flats: list[tuple], m: Multiplicity, block: Iterable[int]) -> int:
+    """LMP2 on ``block`` under a checked ``m``, from its ``_rank2_flats``, by the pair
+    term: two hyperplanes lie in exactly one rank-2 flat and two lines have exponents
+    (m_i, m_j), so LMP2 = e2(m on the block) + (d1*d2 - e2(m on X)) over X of 3+ lines."""
     value = _e2([m[i] for i in block])
-    for flat in flats:
-        if len(flat.members) > 2:
-            ms = tuple([m[k] for k in flat.members])
-            value += line_exponents(flat.lines, ms).product - _e2(ms)
+    for members, lines in flats:
+        if len(members) > 2:
+            ms = tuple([m[k] for k in members])
+            value += line_exponents(lines, ms).product - _e2(ms)
     return value
 
 
@@ -406,12 +406,7 @@ def _family(arr: Arrangement, circuit: tuple[int, ...]
     rank = len(circuit) - 1
     n = arr.n
     pairs = comb(rank + 1, 2)
-    # Termination cap from the real-bound quadratic c2*k^2 - c1*k - c0.
-    slack = n - (rank + 1)
-    c2 = Fraction(rank + 1, 2 * rank)
-    c1 = Fraction((rank - 1) * (rank + 1) * slack, rank)
-    c0 = Fraction((rank - 1) * slack * slack, 2 * rank)
-    cap = int(c1 / c2) + isqrt(int(c0 / c2)) + 3
+    cap = _k0_cap(rank, n - (rank + 1))
     k = 1
     while pairs * k * k <= gmp2_max(rank, (k - 1) * (rank + 1) + n):
         k += 1
@@ -420,6 +415,12 @@ def _family(arr: Arrangement, circuit: tuple[int, ...]
     members = set(circuit)
     m = tuple(k if i in members else 1 for i in range(n))
     return circuit, k, m
+
+
+def _k0_cap(rank: int, slack: int) -> int:
+    """floor(c1/c2) + isqrt(floor(c0/c2)) + 3 in integers, the k0 search's cap from the real
+    bound c2 k^2 - c1 k - c0: c2 = (r+1)/(2r), c1 = (r-1)(r+1)s/r, c0 = (r-1)s^2/(2r)."""
+    return 2 * (rank - 1) * slack + isqrt((rank - 1) * slack * slack // (rank + 1)) + 3
 
 
 def _factor_family(factor: Factor, circuits: list[set[int]]
@@ -469,8 +470,8 @@ def decide_totally_free(arr: Arrangement) -> Verdict:
     return _verdict(arr, None)
 
 
-def _verdict(arr: Arrangement, flats: list[Flat2] | None) -> Verdict:
-    """decide_totally_free from the rank-2 flats of ``arr`` (None: computed
+def _verdict(arr: Arrangement, flats: list[tuple] | None) -> Verdict:
+    """decide_totally_free from the ``_rank2_flats`` of ``arr`` (None: computed
     here).  The factor's LMP2 comes from those inside its block, which are
     the factor's flats: essentialization is linear and injective on the span,
     so their lines keep their exponents.  A flat meeting two blocks, of ranks
@@ -483,11 +484,11 @@ def _verdict(arr: Arrangement, flats: list[Flat2] | None) -> Verdict:
     circuit, k0, m_factor = _factor_family(factor, circuits)
     original = tuple(sorted(factor.indices[i] for i in circuit))
     m_full = tuple(k0 if i in original else 1 for i in range(arr.n))
-    flats = rank2_flats(arr) if flats is None else flats
+    flats = _rank2_flats(arr.normals()) if flats is None else flats
     block = set(factor.indices)
-    large = [f for f in flats if len(f.members) > 2]
-    shared = [len(block.intersection(f.members)) for f in large]
-    if any(0 < k < len(f.members) for f, k in zip(large, shared)):
+    large = [f for f in flats if len(f[0]) > 2]
+    shared = [len(block.intersection(f[0])) for f in large]
+    if any(0 < k < len(f[0]) for f, k in zip(large, shared)):
         raise InternalInvariantError("a rank-2 flat across two factors is not a pair")
     value = _lmp2([f for f, k in zip(large, shared) if k], m_full, factor.indices)
     certificate = _certificate(value, factor.rank, sum(m_factor), m_full,
@@ -543,11 +544,11 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     normals = [arr.hyperplanes[i].normal for i in indices]
     m_sub = tuple(cert.multiplicity[i] for i in indices)
     if (sum(m_sub) != cert.total_multiplicity or cert.rank < 1
-            or len(_eliminate(normals, arr.dim, reduce=False)[1]) != cert.rank):
+            or len(_eliminate(zip(*normals), len(normals), reduce=False)[1]) != cert.rank):
         return False
     members = set(indices)
-    if any(len(_eliminate([*normals, h.normal], arr.dim, reduce=False)[1]) == cert.rank
-           for i, h in enumerate(arr.hyperplanes) if i not in members):
+    if any(len(_eliminate(zip(*normals, h.normal), len(normals) + 1, reduce=False)[1])
+           == cert.rank for i, h in enumerate(arr.hyperplanes) if i not in members):
         return False
     recomputed = _lmp2(_rank2_flats(normals), m_sub, range(len(indices)))
     if recomputed < cert.lmp2_lower or cert.lmp2_is_exact and recomputed != cert.lmp2_lower:

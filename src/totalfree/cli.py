@@ -25,12 +25,12 @@ from . import __version__
 from .arrangement import (
     Arrangement,
     Multiplicity,
+    _rank2_flats,
     check_multiplicity,
     derivation,
     format_arrangement,
     parse_arrangement,
     product,
-    rank2_flats,
 )
 from .certificates import (
     NonFreenessCertificate,
@@ -144,7 +144,10 @@ def _load(args) -> tuple[Arrangement, Multiplicity]:
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for dicts with str keys, lists, tuples,
     str, int, bool and None; anything else, a float included, is a TypeError.
-    An int or a str in a container is written in place, a list of ints in one join."""
+    An int or a str in a container is written in place, a list of ints in one join,
+    and ``_Flats`` by its own template."""
+    if type(value) is _Flats:
+        return value.json(indent)
     inner = indent + "  "
     if isinstance(value, dict) and all([isinstance(key, str) for key in value]):
         items = [f"{encode_basestring_ascii(k)}: " + (
@@ -161,6 +164,18 @@ def _json(value, indent: str = "\n") -> str:
     if isinstance(value, (int, str)):
         return int.__repr__(value) if isinstance(value, int) else encode_basestring_ascii(value)
     raise TypeError(f"not a report value (exact, with str keys): {value!r:.60}")
+
+
+class _Flats(list):
+    """The analyze report's rank-2 flats as member tuples, which ``_json`` writes as
+    json.dumps writes [{"members": [...], "size": k}, ...]: one template per flat."""
+
+    def json(self, indent: str) -> str:
+        item, inner = indent + "  ", indent + "    "
+        flat = f'{{{inner}"members": [{inner}  %s{inner}],{inner}"size": %d{item}}}'
+        join = "," + inner + "  "
+        flats = [flat % (join.join(map(int.__repr__, m)), len(m)) for m in self]
+        return "[" + item + ("," + item).join(flats) + indent + "]" if flats else "[]"
 
 
 def _emit(args, report: dict, human: str) -> None:
@@ -191,19 +206,18 @@ def _human_verdict(payload: dict) -> str:
 
 def cmd_analyze(args) -> int:
     arr, m = _load(args)
-    input_flats = rank2_flats(arr)
-    verdict = _verdict(arr, input_flats)
-    flats = [{"members": f.members, "size": len(f.members)} for f in input_flats]
+    flats = _rank2_flats(arr.normals())
+    verdict = _verdict(arr, flats)
+    members = _Flats([f[0] for f in flats])
     result = {
         "verdict": verdict_payload(verdict),
-        "rank2_flats": flats,
+        "rank2_flats": members,
         "multiplicity": list(m),
     }
     report = make_report("analyze", arr, _rank(verdict.decomposition), result)
     human = "\n".join([
         f"input: dim {arr.dim}, {arr.n} hyperplanes, rank {report['input_summary']['rank']}",
-        f"rank-2 flats: {len(flats)} with sizes "
-        f"{sorted((f['size'] for f in flats), reverse=True)}",
+        f"rank-2 flats: {len(members)} with sizes {sorted(map(len, members), reverse=True)}",
         _human_verdict(result["verdict"]),
     ])
     _emit(args, report, human)

@@ -34,13 +34,11 @@ class MalformedFlatError(TotalFreeError):
 
 
 class ReducibleInputError(TotalFreeError):
-    """An operation requiring an irreducible arrangement of rank >= 3 got
-    something else."""
+    """An operation needing an irreducible arrangement of rank >= 3 got something else."""
 
 
 class NotTotallyFreeError(TotalFreeError):
-    """Exponent computation requested for an arrangement that is not
-    totally free."""
+    """Exponents were asked of an arrangement that is not totally free."""
 
 
 class InternalInvariantError(TotalFreeError):

@@ -95,6 +95,7 @@ def _decompose(arr: Arrangement) -> tuple[Decomposition, list[list[set[int]]]]:
     for block in sorted(tuple(sorted(b)) for b in _blocks(circuits)):
         position = {e: k for k, e in enumerate(block)}
         factor_circuits.append([{position[e] for e in c} for c in circuits if max(c) in position])
-        factors.append(Factor(_essential([normals[i] for i in block], arr.dim), block))
+        basis = [normals[max(c)] for c in circuits if max(c) in position]
+        factors.append(Factor(_essential([normals[i] for i in block], arr.dim, basis), block))
     decomposition = Decomposition(arr.dim, tuple(factors), arr.dim - sum(f.rank for f in factors))
     return decomposition, factor_circuits

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -25,13 +26,14 @@ from totalfree import (
     rank2_exponents,
     rank2_flats,
 )
-from totalfree.arrangement import essentialize, is_member_at, localization, restriction, span_key
+from totalfree.arrangement import (
+    Flat2, _rank2_flats, essentialize, is_member_at, localization, restriction, span_key)
 from totalfree.certificates import _all_triples_rank3
 from totalfree.linalg import Matrix
 from oracles import (
     assert_pivot_restriction, brute_rank2_flats, deletion, euler_derivation, fraction_rank,
     kernel_basis_restriction, monomial, pairwise_generic_normals, primitive, random_invertible,
-    rref_localization)
+    random_unimodular, rref_localization)
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -299,6 +301,37 @@ def test_flats_partition_pairs():
                     seen[pair] = fi
         expected = {(i, j) for i in range(arr.n) for j in range(i + 1, arr.n)}
         assert set(seen) == expected
+
+
+_PIECES = [braid_arrangement(d) for d in (3, 4, 5, 6)] + [
+    boolean_arrangement(2), THREE_LINES, generic_arrangement(5, 3, seed=4)]
+
+
+@st.composite
+def sparse_or_dense_arrangements(draw):
+    """Products of one to three braids, boolean, three-line and generic pieces: in
+    standard coordinates, where most supports are not full (sparse), or in unimodular
+    coordinates that mix the pieces (dense)."""
+    arr = reduce(product, draw(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        change = random_unimodular(random.Random(draw(st.integers(0, 10**6))), arr.dim)
+        arr = arrangement(arr.dim, [[sum(a[i] * change[i][j] for i in range(arr.dim))
+                                     for j in range(arr.dim)] for a in arr.normals()])
+    return arr
+
+
+@settings(max_examples=60)
+@given(sparse_or_dense_arrangements())
+def test_flats_pass_is_the_public_flats_and_partitions_the_pairs(arr):
+    # The plain (members, lines) pairs are the public Flat2s, their lines are
+    # the localization's, and each pair of hyperplanes lies in exactly one flat.
+    flats = _rank2_flats(arr.normals())
+    assert rank2_flats(arr) == [Flat2(members, lines) for members, lines in flats]
+    pairs = []
+    for members, lines in flats:
+        assert list(lines) == localization(arr, Flat2(members, lines)).normals()
+        pairs += combinations(members, 2)
+    assert sorted(pairs) == list(combinations(range(arr.n), 2))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

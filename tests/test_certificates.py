@@ -5,6 +5,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -35,14 +36,15 @@ from totalfree import (
     product,
     rank2_basis,
     rank2_exponents,
-    rank2_flats,
     verify_certificate,
 )
-from totalfree.arrangement import essentialize, format_arrangement, restriction, subarrangement
+from totalfree.arrangement import (
+    _rank2_flats, essentialize, format_arrangement, restriction, subarrangement)
 from totalfree.cli import main
 from totalfree.matroid import connected_components, decompose
 from totalfree.certificates import (
-    CertificateExplanation, _certificate, _generic_circuit, _verdict, nonfree_multiplicity_family)
+    CertificateExplanation, _certificate, _generic_circuit, _k0_cap, _verdict,
+    nonfree_multiplicity_family)
 from oracles import (
     deletion, deletion_restriction_circuit, e2, exhaustive_e2_max, fraction_components,
     fraction_rank, random_invertible, random_unimodular)
@@ -323,7 +325,7 @@ def test_verdict_lmp2_from_the_input_flats_matches_the_factor_pass(cases, lines,
     change = random_unimodular(rng, arr.dim)
     arr = arrangement(arr.dim, [[sum(a[i] * change[i][j] for i in range(arr.dim))
                                  for j in range(arr.dim)] for a in arr.normals()])
-    verdict = _verdict(arr, rank2_flats(arr))
+    verdict = _verdict(arr, _rank2_flats(arr.normals()))
     assert verdict == decide_totally_free(arr)
     w = verdict.witness
     m_factor = tuple(w.k0 if i in w.circuit else 1 for i in range(w.factor.arrangement.n))
@@ -393,10 +395,10 @@ def _counting(monkeypatch) -> Counter:
         return lambda *args, **kwargs: counts.update([name]) or fn(*args, **kwargs)
 
     modules = {name: sys.modules[f"totalfree.{name}"]  # totalfree.arrangement is a function
-               for name in ("linalg", "arrangement", "matroid", "certificates")}
-    for module in modules.values():
-        monkeypatch.setattr(module, "_eliminate", counted("elim", module._eliminate))
-    for module in (modules["arrangement"], modules["certificates"]):
+               for name in ("linalg", "arrangement", "matroid", "certificates", "cli")}
+    for name in ("linalg", "arrangement", "matroid", "certificates"):
+        monkeypatch.setattr(modules[name], "_eliminate", counted("elim", modules[name]._eliminate))
+    for module in (modules["arrangement"], modules["certificates"], modules["cli"]):
         monkeypatch.setattr(module, "_rank2_flats", counted("flats", module._rank2_flats))
     monkeypatch.setattr(totalfree.certificates, "line_exponents",
                         counted("reads", totalfree.certificates.line_exponents))
@@ -511,6 +513,17 @@ def test_k0_of_a_bare_circuit_is_one():
     circuit, k0, m = nonfree_multiplicity_family(arr)
     assert k0 == 1 and m == (1, 1, 1, 1)
     assert 6 > gmp2_max(3, 4) == 5
+
+
+def test_k0_cap_in_integers_is_the_fraction_form():
+    # The reference reads the real-bound quadratic c2 k^2 - c1 k - c0 in
+    # Fractions: floor(c1/c2) + isqrt(floor(c0/c2)) + 3.
+    for rank in range(3, 41):
+        for slack in range(201):
+            c2 = Fraction(rank + 1, 2 * rank)
+            c1 = Fraction((rank - 1) * (rank + 1) * slack, rank)
+            c0 = Fraction((rank - 1) * slack * slack, 2 * rank)
+            assert _k0_cap(rank, slack) == int(c1 / c2) + isqrt(int(c0 / c2)) + 3
 
 
 # -- decide_totally_free -----------------------------------------------------

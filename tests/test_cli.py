@@ -5,14 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import totalfree
 import totalfree.certificates
 import totalfree.families
 import totalfree.rank2
 from totalfree import __version__, parse_arrangement, braid_arrangement, format_arrangement
-from totalfree.cli import _json, build_parser, main
+from totalfree.cli import _Flats, _json, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -314,7 +314,7 @@ def test_analyze_reuses_its_flats_and_eliminates_once_per_level(tmp_path, capsys
     # LMP2 reads the input's rank-2 flats.  The induction before one
     # elimination per level made 32 eliminations and 2 flat passes here.
     eliminations = _count_bindings(monkeypatch, "totalfree.linalg", "_eliminate")
-    flats = _count_bindings(monkeypatch, "totalfree.arrangement", "rank2_flats")
+    flats = _count_bindings(monkeypatch, "totalfree.arrangement", "_rank2_flats")
     code, out, _ = run(capsys, "analyze", "-i", braid_file(tmp_path, 8), "--json")
     result = json.loads(out)["result"]
     assert code == 0 and result["verdict"]["witness"]["k0"] == 242
@@ -512,8 +512,24 @@ def test_json_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, indent=2)
 
 
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 10**4), min_size=2, max_size=6).map(tuple), max_size=6),
+       st.lists(st.none() | _STRINGS, max_size=4))
+@example([], [])
+@example([], ["rank2_flats", "result"])
+def test_flats_section_matches_json_dumps_at_every_depth(members, keys):
+    # The analyze report writes its flats from the member tuples, one template
+    # per flat; under any keys and lists (None: a list) it gives json.dumps's
+    # bytes for the {"members", "size"} dicts, [] included.
+    value, plain = _Flats(members), [{"members": list(m), "size": len(m)} for m in members]
+    for key in keys:
+        value, plain = ([value], [plain]) if key is None else ({key: value}, {key: plain})
+    assert _json(value) == json.dumps(plain, indent=2)
+
+
 @pytest.mark.parametrize("value", [
     1.5, {"a": [1, 0.0]}, Fraction(1, 2), {"k": {1, 2}}, {1: "one"}, [{"ok": {None: 1}}],
+    {"rank2_flats": _Flats([(0, 1.0)])},
 ])
 def test_json_writer_refuses_what_a_report_cannot_hold(value):
     with pytest.raises(TypeError):

@@ -185,5 +185,17 @@ def test_cli_outputs_match_golden():
     assert mismatched == []
 
 
+def test_stored_reports_are_json_dumps_of_themselves():
+    # The writer's contract, pinned apart from the writer: each stored report
+    # is json.dumps(report, indent=2) and print's newline; a failing case
+    # (exit 1) prints no report.
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    for case in cases:
+        text = (GOLDEN / f"{case['id']}.out").read_text()
+        expected = "" if case["exit"] == 1 else json.dumps(json.loads(text), indent=2) + "\n"
+        assert text == expected, case["id"]
+    assert sum(case["exit"] == 0 for case in cases) == 133
+
+
 if __name__ == "__main__":
     regenerate()
