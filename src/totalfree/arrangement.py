@@ -8,10 +8,11 @@ integers aligned with that order.  The empty arrangement and dimension-0
 arrangements are legal values (they arise as essentialization output and
 product factors).
 
-Rank-2 structure rests on integer keys: ``rank2_flats`` keys a pair of
-normals by u_p a - a_p u, made primitive, and ``span_key(u, v)``, the support
-and primitive, sign-fixed 2x2 minors of two independent normals, names their
-plane: three normals have rank 3 iff span_key(a, b) != span_key(a, c).
+Rank-2 structure rests on one integer key, the image of a normal a in the
+restriction to a normal u: u_p a - a_p u without its coordinate p (u's
+first nonzero), made primitive (``_images``).  b and c lie in one rank-2
+flat with u iff their images under u are equal, so the same key restricts,
+tests triples for rank 3 and groups the rank-2 flats.
 """
 
 from __future__ import annotations
@@ -167,60 +168,43 @@ def is_member_at(theta: Derivation, h: Hyperplane, mult: int) -> bool:
 # -- structural operations -------------------------------------------------
 
 
-def essentialize(arr: Arrangement) -> Arrangement:
-    """The arrangement in the coordinates of the span of its normals.
+def _essential(normals: Sequence[IntVector], dim: int, basis: Sequence[IntVector] = ()
+               ) -> Arrangement:
+    """The arrangement of these normals in the coordinates of their span.
 
     The pivot columns of an echelon form of the normals are coordinates on
     which the span projects isomorphically, so restricting every normal to
-    them is an injective linear map: the result is essential, keeps the
-    hyperplane order and distinctness, and has dimension the rank.  The
-    ``arr.dim - rank`` dropped coordinates are the trivial directions.
+    them is injective: the result is essential, keeps the hyperplane order
+    and distinctness, and has dimension the rank.  The pivots come from
+    ``basis``, if given: rows with the normals' row space.
     """
-    return _essential(arr.normals(), arr.dim)
-
-
-def _essential(normals: Sequence[IntVector], dim: int, basis: Sequence[IntVector] = ()
-               ) -> Arrangement:
-    """``essentialize`` on the normals of an arrangement: one elimination, one build.
-    The pivots come from ``basis``, if given: rows with the normals' row space."""
     pivots = _eliminate(basis or normals, dim, reduce=False)[1]
     return Arrangement(len(pivots), tuple([Hyperplane(_primitive([a[p] for p in pivots]))
                                            for a in normals]))
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Restriction to one hyperplane, with the bookkeeping the induction needs.
-
-    ``index_map[i]`` is the index of hyperplane i's image among the distinct
-    restricted hyperplanes (None at the restricted index itself); the map is
-    many-to-one when images collide.
-    """
-
-    arrangement: Arrangement
-    index_map: tuple[int | None, ...]
-
-
-def restriction(arr: Arrangement, h0: int) -> Restriction:
-    if not 0 <= h0 < arr.n:
-        raise IndexError(f"hyperplane index {h0} out of range 0..{arr.n - 1}")
-    images, index_map = _restrict(arr.normals(), h0)
-    return Restriction(Arrangement(arr.dim - 1, tuple(map(Hyperplane, images))),
-                       tuple(index_map))
+def _images(u: Sequence[int], normals: Iterable[Sequence[int]]) -> list[IntVector]:
+    """Each normal a's image in the restriction to u: u_p a - a_p u on the
+    coordinates j != p, u's first nonzero, made primitive.  These are the
+    coordinates against the kernel basis u_p e_j - u_j e_p of u; the normals
+    must be independent of u.  b and c lie in one rank-2 flat with u iff
+    their images are equal."""
+    p = next(j for j, x in enumerate(u) if x)
+    up = u[p]
+    rest = [(j, y) for j, y in enumerate(u) if j != p]
+    return [_primitive([up * a[j] - a[p] * y for j, y in rest]) for a in normals]
 
 
 def _restrict(normals: Sequence[IntVector], h0: int
               ) -> tuple[list[IntVector], list[int | None]]:
-    """``restriction`` on normals, no two proportional: distinct images, index map."""
-    a0 = normals[h0]
-    p = next(i for i, c in enumerate(a0) if c != 0)
-    # Coordinates against the kernel basis a0[p] e_j - a0[j] e_p (j != p).
-    others = [j for j in range(len(a0)) if j != p]
-    index_of: dict[IntVector, int] = {}  # the distinct images, in order
-    index_map: list[int | None] = []
-    for i, c in enumerate(normals):
-        img = None if i == h0 else _primitive([a0[p] * c[j] - a0[j] * c[p] for j in others])
-        index_map.append(None if img is None else index_of.setdefault(img, len(index_of)))
+    """Restriction of normals, no two proportional, to normal h0: the distinct
+    images in order of first appearance, and each normal's index among them
+    (None at h0; many-to-one where images collide)."""
+    index_of: dict[IntVector, int] = {}
+    index_map: list[int | None] = [
+        index_of.setdefault(img, len(index_of))
+        for img in _images(normals[h0], [*normals[:h0], *normals[h0 + 1:]])]
+    index_map.insert(h0, None)
     return list(index_of), index_map
 
 
@@ -246,24 +230,6 @@ class Flat2:
     lines: tuple[tuple[int, int], ...]
 
 
-def span_key(u: Sequence[int], v: Sequence[int]) -> tuple[IntVector, IntVector]:
-    """Key of the plane spanned by two independent integer normals.
-
-    The plane's support and the 2x2 minors u_p v_q - u_q v_p (p < q in the
-    support) of u ^ v, divided by their gcd, first nonzero minor positive:
-    two pairs span one plane iff keys are equal.  Minors off the support
-    vanish, so the cost does not grow with the dimension.
-    """
-    cols = tuple([i for i, (x, y) in enumerate(zip(u, v)) if x or y])
-    minors = [u[p] * v[q] - u[q] * v[p] for k, p in enumerate(cols) for q in cols[k + 1:]]
-    g = math.gcd(*minors)
-    if g == 0:
-        raise ValueError("dependent normals span no plane")
-    if next(x for x in minors if x) < 0:
-        g = -g
-    return cols, tuple([x // g for x in minors])
-
-
 def rank2_flats(arr: Arrangement) -> list[Flat2]:
     """All closed rank-2 flats with their lines, ordered by their two smallest members."""
     return [Flat2(*flat) for flat in _rank2_flats(arr.normals())]
@@ -273,10 +239,11 @@ def _rank2_flats(normals: Sequence[IntVector]) -> list[tuple[tuple[int, ...], tu
     """``rank2_flats`` of pairwise independent normals as (members, lines) pairs.
 
     For each i, with normal u and first nonzero coordinate p, each later j
-    not yet covered gets w = u_p a - a_p u (a its normal) on u's support
-    other than p, where it is 0, and u_p a on the rest of a's support (read
-    only when u's is not full), so the cost does not grow with the
-    dimension; w = lambda_j * key, the key primitive, then those columns.
+    not yet covered gets its image under u (``_images``) read only on the
+    supports: w = u_p a - a_p u (a its normal) on u's support other than p,
+    and u_p a on the rest of a's support (read only when u's is not full);
+    the image is 0 elsewhere, so the cost does not grow with the dimension.
+    w = lambda_j * key, the key primitive, then those columns.
     Equal keys mean one plane through u: a key collects the flat whose
     smallest member is i, and its pairs are marked covered.  With v the
     second member, a = c1 u + c2 v gives w_a = c2 w_v, so a's line (c1, c2)
@@ -345,11 +312,6 @@ def localization(arr: Arrangement, flat: Flat2) -> Arrangement:
             raise MalformedFlatError(f"hyperplane {k} does not lie in the flat's span")
         rows.append((c1, c2))
     return arrangement(2, rows)
-
-
-def subarrangement(arr: Arrangement, indices: Sequence[int]) -> Arrangement:
-    """The subarrangement on the given hyperplane indices, in input order."""
-    return Arrangement(arr.dim, tuple(arr.hyperplanes[i] for i in indices))
 
 
 # -- text format -------------------------------------------------------------

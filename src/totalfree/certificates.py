@@ -34,12 +34,11 @@ from .arrangement import (
     Flat2,
     IntVector,
     Multiplicity,
-    _primitive,
+    _images,
     _rank2_flats,
     _restrict,
     check_multiplicity,
     rank2_flats,
-    span_key,
 )
 from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
 from .linalg import _eliminate
@@ -137,36 +136,27 @@ def is_generic_circuit(arr: Arrangement, indices: tuple[int, ...]) -> bool:
 
 
 def _all_triples_rank3(normals: list[IntVector]) -> bool:
-    """Every three of these pairwise independent normals have rank 3: a < b < c are
-    dependent iff a_p b - b_p a and a_p c - c_p a are proportional (p: a's first
-    nonzero coordinate), so C(k, 2) primitive keys do."""
-    for i, a in enumerate(normals[:-2]):
-        p = next(c for c, x in enumerate(a) if x)
-        keys = {_primitive([a[p] * y - b[p] * x for x, y in zip(a, b)]) for b in normals[i + 1:]}
-        if len(keys) != len(normals) - i - 1:
-            return False
-    return True
+    """Every three of these pairwise independent normals have rank 3: a < b < c
+    are dependent iff b and c have one image under a (``_images``)."""
+    return all(len(set(_images(a, normals[i + 1:]))) == len(normals) - i - 1
+               for i, a in enumerate(normals[:-2]))
 
 
 def _brute_circuit(arr: Arrangement, rank: int) -> list[int]:
-    """Lexicographically first (rank+1)-subset whose triples all have rank 3.
-
-    The chosen hyperplanes are generic, so another keeps them generic iff no
-    span_key of it with a chosen one is the plane of a chosen pair."""
+    """Lexicographically first (rank+1)-subset whose triples all have rank 3."""
     normals = arr.normals()
 
-    def extend(chosen: list[int], planes: set) -> list[int] | None:
+    def extend(chosen: list[int]) -> list[int] | None:
         if len(chosen) == rank + 1:
             return chosen
         for i in range(chosen[-1] + 1 if chosen else 0, arr.n + len(chosen) - rank):
-            keys = {span_key(normals[a], normals[i]) for a in chosen}
-            if planes.isdisjoint(keys):
-                found = extend(chosen + [i], planes | keys)
+            if _all_triples_rank3([normals[k] for k in chosen + [i]]):
+                found = extend(chosen + [i])
                 if found is not None:
                     return found
         return None
 
-    found = extend([], set())
+    found = extend([])
     if found is None:
         raise InternalInvariantError(
             "no generic circuit found; contradicts the connectivity lemma")

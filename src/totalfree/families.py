@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .arrangement import Arrangement, Hyperplane, normalize_hyperplane, span_key
+from .arrangement import Arrangement, Hyperplane, _images, normalize_hyperplane
 
 MAX_COEFFICIENTS = 10**7  # dim x hyperplanes of one generated arrangement
 MAX_REJECTIONS = 20_000   # consecutive rejected draws before generic_arrangement gives up
@@ -42,11 +42,12 @@ def generic_arrangement(n: int, dim: int, seed: int = 0) -> Arrangement:
     Candidates are drawn with entries in [-9, 9] and rejected until the
     genericity condition holds, so the output is deterministic per seed.
     A candidate h is rejected when it lies in the plane of two chosen
-    normals a, b; as the chosen normals are generic, that happens iff the
-    plane of (a, h) is the plane of some chosen pair, so one span_key per
-    chosen normal decides.  The keys of the pairs are kept, up to
-    dim(dim+1)/2 integers each, and count against MAX_COEFFICIENTS too.
-    After MAX_REJECTIONS rejections in a row the draw fails with ValueError.
+    normals a, b, a drawn first: iff h has b's image in the restriction to
+    a.  So each chosen normal keeps the images of the normals chosen after
+    it, and one image per chosen normal decides.  The kept images count
+    against MAX_COEFFICIENTS too, at dim(dim+1)/2 integers per pair (an
+    image holds dim - 1).  After MAX_REJECTIONS rejections in a row the
+    draw fails with ValueError.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -62,7 +63,7 @@ def generic_arrangement(n: int, dim: int, seed: int = 0) -> Arrangement:
     rng = random.Random(seed)
     chosen: list[Hyperplane] = []
     normals: set[tuple[int, ...]] = set()
-    planes: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()  # spans of chosen pairs
+    later: list[set[tuple[int, ...]]] = []  # per chosen normal, the images of those after it
     rejections = 0
     while len(chosen) < n:
         if rejections == MAX_REJECTIONS:
@@ -76,10 +77,12 @@ def generic_arrangement(n: int, dim: int, seed: int = 0) -> Arrangement:
         h = normalize_hyperplane(coeffs)
         if h.normal in normals:
             continue
-        keys = [span_key(a.normal, h.normal) for a in chosen] if dim >= 3 else []
-        if not planes.isdisjoint(keys):
+        images = [_images(a.normal, (h.normal,))[0] for a in chosen] if dim >= 3 else []
+        if any(img in seen for img, seen in zip(images, later)):
             continue
-        planes.update(keys)
+        for img, seen in zip(images, later):
+            seen.add(img)
+        later.append(set())
         chosen.append(h)
         normals.add(h.normal)
         rejections = 0

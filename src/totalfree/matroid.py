@@ -30,7 +30,7 @@ def _fundamental_circuits(normals) -> list[set[int]]:
     normals as columns, last first.  Pivot row i is nonzero on basis element
     i, its largest index, and on each non-basis element whose circuit holds it."""
     n = len(normals)
-    rows, basis, _ = _eliminate(zip(*normals[::-1]), n, reduce=True)
+    rows, basis = _eliminate(zip(*normals[::-1]), n, reduce=True)
     return [{n - 1 - c for c, x in enumerate(row) if x} for row in rows[:len(basis)]]
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 
 from totalfree.arrangement import (
-    Arrangement, Restriction, check_multiplicity, derivation, is_member_at, normalize_hyperplane)
+    Arrangement, check_multiplicity, derivation, is_member_at, normalize_hyperplane)
 from totalfree.errors import DimensionMismatchError
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
@@ -186,7 +186,7 @@ def substitute(f, change):
     new_vars = change.cols
     if f.is_zero():
         return HomPoly.zero(new_vars)
-    images = [HomPoly.linear(change.row(i)) for i in range(f.num_vars)]
+    images = [HomPoly.linear(change.entries[i]) for i in range(f.num_vars)]
     # Cache powers of each image; exponents repeat heavily across terms.
     powers: list[dict[int, HomPoly]] = [{} for _ in range(f.num_vars)]
 
@@ -214,7 +214,9 @@ def substitution_to_original(pair, change):
     ``change`` is the Matrix C with x = C u.  The package's ``_to_original``
     before it became an integer transform, kept as the reference for it.
     """
-    inverse = change.inverse()
+    (a, b), (c, d) = change.entries
+    det = a * d - b * c
+    inverse = Matrix([[d / det, -b / det], [-c / det, a / det]])  # the adjugate over det
     composed = [substitute(comp, inverse) for comp in pair]
     comps = []
     for i in range(2):
@@ -590,7 +592,7 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
 def random_invertible(rng: random.Random, n: int) -> Matrix:
     while True:
         m = Matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        if m.det() != 0:
+        if fraction_det(m.entries) != 0:
             return m
 
 
@@ -617,9 +619,11 @@ def deletion(arr, h: int):
 
 
 def kernel_basis_restriction(arr, h0: int):
-    """Restriction to hyperplane ``h0`` through an explicit kernel basis.
+    """Restriction to hyperplane ``h0`` through an explicit kernel basis:
+    the arrangement of the distinct images and each hyperplane's index among
+    them (None at ``h0``).
 
-    The package's ``restriction`` before it wrote each coordinate as
+    The package's restriction before it wrote each coordinate as
     a0[p] c[j] - a0[j] c[p], kept as the reference for it: each restricted
     normal is the dot product of the normal with the basis vectors
     a0[p] e_j - a0[j] e_p (j != p) of the kernel of normal a0.
@@ -645,7 +649,7 @@ def kernel_basis_restriction(arr, h0: int):
             index_of[img.normal] = len(images)
             images.append(img)
         index_map.append(index_of[img.normal])
-    return Restriction(Arrangement(arr.dim - 1, tuple(images)), tuple(index_map))
+    return Arrangement(arr.dim - 1, tuple(images)), index_map
 
 
 def _triples_rank3(arr, indices) -> bool:
@@ -670,11 +674,10 @@ def deletion_restriction_circuit(arr, rank: int) -> list[int]:
     deleted = deletion(arr, 0)
     if len(fraction_components(deleted)) == 1:
         return [i + 1 for i in deletion_restriction_circuit(deleted, rank)]
-    restr = kernel_basis_restriction(arr, 0)
-    assert len(fraction_components(restr.arrangement)) == 1
-    imap = restr.index_map
+    restr, imap = kernel_basis_restriction(arr, 0)
+    assert len(fraction_components(restr)) == 1
     if rank == 3:
-        if restr.arrangement.n == n - 1:
+        if restr.n == n - 1:
             return next([0, i, j, k] for i, j, k in combinations(range(1, n), 3)
                         if _triples_rank3(arr, (i, j, k)))
         a, b = next((a, b) for a in range(1, n) for b in range(a + 1, n)
@@ -689,5 +692,5 @@ def deletion_restriction_circuit(arr, rank: int) -> list[int]:
                 break
         return next(sorted(c) for c in ([0, *helpers, a], [0, *helpers, b])
                     if _triples_rank3(arr, c))
-    sub = deletion_restriction_circuit(restr.arrangement, rank - 1)
+    sub = deletion_restriction_circuit(restr, rank - 1)
     return sorted([0] + [next(i for i in range(1, n) if imap[i] == r) for r in sub])

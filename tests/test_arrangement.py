@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
@@ -27,13 +28,14 @@ from totalfree import (
     rank2_flats,
 )
 from totalfree.arrangement import (
-    Flat2, _rank2_flats, essentialize, is_member_at, localization, restriction, span_key)
-from totalfree.certificates import _all_triples_rank3
+    Flat2, _essential, _images, _rank2_flats, _restrict, is_member_at, localization)
+from totalfree.certificates import _all_triples_rank3, _brute_circuit
 from totalfree.linalg import Matrix
 from oracles import (
-    assert_pivot_restriction, brute_rank2_flats, deletion, euler_derivation, fraction_rank,
-    kernel_basis_restriction, monomial, pairwise_generic_normals, primitive, random_invertible,
-    random_unimodular, rref_localization)
+    assert_pivot_restriction, brute_rank2_flats, deletion, euler_derivation,
+    fraction_components, fraction_rank, kernel_basis_restriction, monomial,
+    pairwise_generic_normals, primitive, random_invertible, random_unimodular, rank_rows,
+    rref_localization)
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -97,27 +99,27 @@ def test_duplicates_rejected():
 
 def test_essentialize_braid_a3():
     arr = arrangement(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)])
-    ess = essentialize(arr)
+    ess = _essential(arr.normals(), arr.dim)
     # pivot columns x1, x2; the dropped x3 is the trivial direction
     assert ess == arrangement(2, [(1, -1), (1, 0), (0, 1)])
     assert_pivot_restriction(arr, ess)
 
 
 def test_essentialize_already_essential():
-    assert essentialize(THREE_LINES) == THREE_LINES
+    assert _essential(THREE_LINES.normals(), 2) == THREE_LINES
 
 
 def test_essentialize_empty():
-    assert essentialize(Arrangement(2, ())) == Arrangement(0, ())
+    assert _essential([], 2) == Arrangement(0, ())
 
 
 def test_essentialize_pivots_past_the_first_columns():
     # pivot column x2 only: the restricted normal (2) normalizes to (1)
     arr = arrangement(3, [(0, 2, 1)])
-    assert essentialize(arr) == arrangement(1, [(1,)])
+    assert _essential(arr.normals(), arr.dim) == arrangement(1, [(1,)])
     arr = arrangement(4, [(0, 1, 0, 2), (0, 0, 0, 1), (0, 1, 0, 1)])
-    assert essentialize(arr) == arrangement(2, [(1, 2), (0, 1), (1, 1)])
-    assert_pivot_restriction(arr, essentialize(arr))
+    assert _essential(arr.normals(), arr.dim) == arrangement(2, [(1, 2), (0, 1), (1, 1)])
+    assert_pivot_restriction(arr, _essential(arr.normals(), arr.dim))
 
 
 # -- deletion / restriction --------------------------------------------------
@@ -133,38 +135,34 @@ def test_deletion_examples():
 
 
 def test_restriction_braid_s4():
-    res = restriction(braid_arrangement(4), 0)  # restrict to x1 - x2
-    assert res.arrangement.dim == 3
-    assert res.arrangement.n == 3
+    images, index_map = _restrict(braid_arrangement(4).normals(), 0)  # to x1 - x2
+    assert len(images) == 3 and all(len(img) == 3 for img in images)
     # x1-x3 and x2-x3 collide, x1-x4 and x2-x4 collide, x3-x4 survives alone
-    assert res.index_map[0] is None
-    assert res.index_map[1] == res.index_map[3]
-    assert res.index_map[2] == res.index_map[4]
-    assert len({res.index_map[1], res.index_map[2], res.index_map[5]}) == 3
+    assert index_map[0] is None
+    assert index_map[1] == index_map[3]
+    assert index_map[2] == index_map[4]
+    assert len({index_map[1], index_map[2], index_map[5]}) == 3
 
 
 def test_restriction_boolean_two():
-    res = restriction(arrangement(2, [(1, 0), (0, 1)]), 0)
-    assert res.arrangement.dim == 1
-    assert res.arrangement.n == 1
+    assert _restrict([(1, 0), (0, 1)], 0) == ([(1,)], [None, 0])
 
 
 def test_restriction_generic_injective():
-    arr = generic_arrangement(4, 3, seed=2)
-    res = restriction(arr, 1)
-    assert res.arrangement.n == 3  # genericity: no image collisions
-    ids = [i for i in res.index_map if i is not None]
+    images, index_map = _restrict(generic_arrangement(4, 3, seed=2).normals(), 1)
+    assert len(images) == 3  # genericity: no image collisions
+    ids = [i for i in index_map if i is not None]
     assert len(set(ids)) == len(ids)
 
 
 def test_restriction_count_bound():
     for arr in (braid_arrangement(4), THREE_LINES, generic_arrangement(5, 3, seed=4)):
         for h0 in range(arr.n):
-            res = restriction(arr, h0)
-            assert res.arrangement.n <= arr.n - 1
-            ids = [i for i in res.index_map if i is not None]
+            images, index_map = _restrict(arr.normals(), h0)
+            assert len(images) <= arr.n - 1
+            ids = [i for i in index_map if i is not None]
             injective = len(set(ids)) == len(ids)
-            assert (res.arrangement.n == arr.n - 1) == injective
+            assert (len(images) == arr.n - 1) == injective
 
 
 # -- rank-2 flats ------------------------------------------------------------
@@ -206,17 +204,66 @@ def small_arrangements(draw):
 def test_restriction_matches_the_kernel_basis_form(arr, data):
     # One 2x2 minor per coordinate is the dot product with the kernel basis.
     h0 = data.draw(st.integers(0, arr.n - 1))
-    assert restriction(arr, h0) == kernel_basis_restriction(arr, h0)
+    restricted, index_map = kernel_basis_restriction(arr, h0)
+    assert _restrict(arr.normals(), h0) == (restricted.normals(), index_map)
 
 
-def test_span_key_names_the_plane():
-    u, v = (1, -1, 0, 0), (0, 1, -1, 0)
-    key = span_key(u, v)
-    assert key == ((0, 1, 2), (1, -1, 1))
-    assert span_key(v, u) == span_key((2, -1, -1, 0), (-1, 2, -1, 0)) == key
-    assert span_key(u, (0, 0, 1, -1)) != key
-    with pytest.raises(ValueError):
-        span_key(u, (-2, 2, 0, 0))
+@st.composite
+def plane_triples(draw):
+    """Integer u, b, c of dims 2..6, b and c independent of u; c is often in
+    the plane of u and b."""
+    dim = draw(st.integers(2, 6))
+    vector = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)
+    u = draw(vector.filter(any))
+    b = draw(vector.filter(lambda b: rank_rows([u, b]) == 2))
+    if draw(st.booleans()):
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3).filter(bool))
+        c = [x * s + y * t for s, t in zip(u, b)]
+    else:
+        c = draw(vector.filter(lambda c: rank_rows([u, c]) == 2))
+    return u, b, c
+
+
+@settings(max_examples=300, derandomize=True)
+@given(plane_triples())
+def test_images_are_equal_exactly_in_one_plane(triple):
+    # b and c lie in one rank-2 flat with u iff they have one image under u.
+    u, b, c = triple
+    image_b, image_c = _images(u, [b, c])
+    assert len(image_b) == len(u) - 1
+    assert (image_b == image_c) == (rank_rows([u, b, c]) == 2)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(small_arrangements())
+def test_triple_check_matches_integer_rank_on_every_triple(arr):
+    normals = arr.normals()
+    for triple in combinations(normals, 3):
+        assert _all_triples_rank3(list(triple)) == (rank_rows(triple) == 3)
+
+
+def _first_generic_subset(normals, size):
+    """The lexicographically first index subset of this size with every triple of rank 3."""
+    return next((list(c) for c in combinations(range(len(normals)), size)
+                 if all(rank_rows([normals[i] for i in t]) == 3 for t in combinations(c, 3))),
+                None)
+
+
+def test_brute_circuit_is_the_first_generic_subset_in_lexicographic_order():
+    rng = random.Random(11)
+    cases = [braid_arrangement(dim) for dim in (4, 5, 6)]
+    while len(cases) < 33:
+        dim = rng.randint(3, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(4, 8))]
+        arr = arrangement(dim, dict.fromkeys(normalize_hyperplane(r).normal
+                                             for r in rows if any(r)))
+        if fraction_rank(arr.normals(), dim) >= 3 and len(fraction_components(arr)) == 1:
+            cases.append(arr)
+    for arr in cases:
+        rank = fraction_rank(arr.normals(), arr.dim)
+        expected = _first_generic_subset(arr.normals(), rank + 1)
+        assert expected is not None
+        assert _brute_circuit(arr, rank) == expected
 
 
 @settings(max_examples=120)
@@ -233,7 +280,7 @@ def test_rank2_structure_matches_fraction_reference(arr):
 @settings(max_examples=200)
 @given(small_arrangements(), st.data())
 def test_triple_check_from_pair_keys_matches_fraction_rank(arr, data):
-    # C(k, 2) span keys decide the rank of all C(k, 3) triples, in any order.
+    # C(k, 2) images decide the rank of all C(k, 3) triples, in any order.
     assume(arr.n >= 3)
     normals = arr.normals()
     size = data.draw(st.integers(3, min(7, arr.n)))
@@ -336,11 +383,27 @@ def test_flats_pass_is_the_public_flats_and_partitions_the_pairs(arr):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_generic_draws_match_the_pairwise_rule(dim):
-    # One plane key per chosen normal accepts exactly what the test against
+    # One image per chosen normal accepts exactly what the test against
     # every chosen pair accepts, so every seed keeps its output.
     for n, seed in [(n, seed) for n in (0, 1, 3, 6, 12) for seed in range(4)] + [(60, 5)]:
         expected = pairwise_generic_normals(n, dim, seed)
         assert generic_arrangement(n, dim, seed).normals() == expected
+
+
+def test_generic_draws_keep_their_digest():
+    # Every draw, and every refusal, of these families as they were drawn
+    # with 2x2-minor plane keys: any change in the draws changes the digest.
+    digest = hashlib.sha256()
+    for dim in range(1, 8):
+        for n in (0, 1, 2, 5, 12, 30):
+            for seed in range(6):
+                try:
+                    out = repr(generic_arrangement(n, dim, seed).normals())
+                except ValueError as exc:
+                    out = f"ValueError: {exc}"
+                digest.update(f"{dim} {n} {seed} {out}\n".encode())
+    assert digest.hexdigest() == (
+        "925c807615117920de6d6802ccfb4a9d9232330b1698042b3215fb5af8b1649d")
 
 
 # -- localization ------------------------------------------------------------
@@ -397,7 +460,8 @@ def test_product_associative_and_rank_additive():
     b = boolean_arrangement(2)
     c = arrangement(1, [(1,)])
     assert product(product(a, b), c) == product(a, product(b, c))
-    assert essentialize(product(a, b)).dim == a.rank() + b.rank()
+    ab = product(a, b)
+    assert _essential(ab.normals(), ab.dim).dim == a.rank() + b.rank()
 
 
 # -- derivation membership ---------------------------------------------------

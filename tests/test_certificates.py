@@ -38,8 +38,7 @@ from totalfree import (
     rank2_exponents,
     verify_certificate,
 )
-from totalfree.arrangement import (
-    _rank2_flats, essentialize, format_arrangement, restriction, subarrangement)
+from totalfree.arrangement import _essential, _rank2_flats, _restrict, format_arrangement
 from totalfree.cli import main
 from totalfree.matroid import connected_components, decompose
 from totalfree.certificates import (
@@ -47,7 +46,7 @@ from totalfree.certificates import (
     nonfree_multiplicity_family)
 from oracles import (
     deletion, deletion_restriction_circuit, e2, exhaustive_e2_max, fraction_components,
-    fraction_rank, random_invertible, random_unimodular)
+    fraction_rank, kernel_basis_restriction, random_invertible, random_unimodular)
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -222,8 +221,8 @@ def test_find_circuit_case1_branch():
     arr = arrangement(3, [(1, 2, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
     assert len(connected_components(arr)) == 1
     assert len(connected_components(deletion(arr, 0))) == 2
-    res = restriction(arr, 0)
-    assert res.arrangement.n == 4  # injective restriction
+    images, _ = _restrict(arr.normals(), 0)
+    assert len(images) == 4  # injective restriction
     circuit = find_generic_circuit(arr, method="proof")
     assert circuit == (0, 1, 2, 4)
     assert is_generic_circuit(arr, circuit)
@@ -234,7 +233,7 @@ def test_circuit_search_computes_the_rank_once(monkeypatch):
     rank = Arrangement.rank
     monkeypatch.setattr(Arrangement, "rank", lambda self: calls.append(self) or rank(self))
     for dim, expected in ((5, (2, 5, 6, 7, 8)), (7, (4, 9, 13, 16, 17, 18, 19))):
-        arr = essentialize(braid_arrangement(dim))
+        arr = _essential(braid_arrangement(dim).normals(), dim)
         calls.clear()
         assert find_generic_circuit(arr) == expected
         assert len(calls) == 1  # the postcondition; the precondition is the first elimination
@@ -243,7 +242,7 @@ def test_circuit_search_computes_the_rank_once(monkeypatch):
 def test_circuit_induction_builds_no_arrangement(monkeypatch):
     # Each level is a list of normals, restricted by arrangement._restrict;
     # the parent built 8 Arrangements here, one restriction per level.
-    arr = essentialize(braid_arrangement(8))
+    arr = _essential(braid_arrangement(8).normals(), 8)
     built = []
     post_init = Arrangement.__post_init__
     monkeypatch.setattr(Arrangement, "__post_init__",
@@ -411,7 +410,7 @@ def _counting(monkeypatch) -> Counter:
 def test_analyze_builds_each_structure_once(monkeypatch, tmp_path, capsys):
     # Braid dim 8: the decomposition's elimination gives the induction its
     # first level (an elimination of its own made 8), the factor is built
-    # once (a subarrangement copy essentialized through arrangement() made
+    # once (a copy of its hyperplanes essentialized through arrangement() made
     # 3 builds), one pass finds the 266 flats and the pair term reads
     # exponents for the 56 flats of three lines only.
     path = tmp_path / "braid8.arr"
@@ -625,13 +624,13 @@ def test_closure_under_deletion_and_restriction():
         assert decide_totally_free(arr).totally_free
         for h in range(arr.n):
             assert decide_totally_free(deletion(arr, h)).totally_free
-            assert decide_totally_free(restriction(arr, h).arrangement).totally_free
+            assert decide_totally_free(kernel_basis_restriction(arr, h)[0]).totally_free
 
 
 def test_braid_restriction_becomes_totally_free():
     arr = braid_arrangement(4)
     assert not decide_totally_free(arr).totally_free
-    tags = [decide_totally_free(restriction(arr, h).arrangement).totally_free
+    tags = [decide_totally_free(kernel_basis_restriction(arr, h)[0]).totally_free
             for h in range(arr.n)]
     assert any(tags)
 
@@ -799,8 +798,7 @@ def test_subarrangement_certificate_path():
     arr = braid_arrangement(4)
     verdict = decide_totally_free(arr)
     cert = verdict.witness.certificate
-    sub = subarrangement(arr, cert.explanation.factor_indices)
-    assert sub == arr
+    assert [arr.hyperplanes[i] for i in cert.explanation.factor_indices] == list(arr.hyperplanes)
 
 
 # -- certificates sit on closed index sets -----------------------------------
@@ -844,7 +842,7 @@ def _subset_certificates(draw):
 @given(_subset_certificates())
 def test_verify_accepts_exactly_the_closed_subsets(case):
     arr, m, indices = case
-    sub = subarrangement(arr, indices)
+    sub = Arrangement(arr.dim, tuple(arr.hyperplanes[i] for i in indices))
     rank, total = sub.rank(), sum(m[i] for i in indices)
     value = lmp2(sub, tuple(m[i] for i in indices))
     if rank < 3 or value <= gmp2_max(rank, total):

@@ -21,7 +21,7 @@ from totalfree import (
     normalize_hyperplane,
     product,
 )
-from totalfree.arrangement import essentialize, subarrangement
+from totalfree.arrangement import _essential
 from totalfree.cli import main
 from totalfree.matroid import connected_components
 from oracles import (
@@ -120,7 +120,7 @@ def test_is_irreducible_examples():
     assert not is_irreducible(arrangement(2, [(1, 0), (0, 1)]))
     # braid-S4 in ambient dimension 4 has a trivial direction: reducible
     assert not is_irreducible(braid_arrangement(4))
-    assert is_irreducible(essentialize(braid_arrangement(4)))
+    assert is_irreducible(_essential(braid_arrangement(4).normals(), 4))
     assert not is_irreducible(Arrangement(1, ()))
 
 
@@ -149,7 +149,8 @@ def _assert_product_of_factors(arr, decomp):
     assert sum(_ranks(decomp)) == arr.rank() == fraction_rank(arr.normals(), arr.dim)
     assert decomp.trivial_directions == arr.dim - arr.rank()
     for f in decomp.factors:
-        assert_pivot_restriction(subarrangement(arr, f.indices), f.arrangement)
+        block = Arrangement(arr.dim, tuple(arr.hyperplanes[i] for i in f.indices))
+        assert_pivot_restriction(block, f.arrangement)
 
 
 def test_decompose_soundness_reassembly():
