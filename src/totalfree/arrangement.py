@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -103,9 +103,19 @@ class Arrangement:
     def rank(self) -> int:
         return len(_eliminate(zip(*self.normals()), self.n, reduce=False)[1])  # the short side
 
+    def __getstate__(self):  # pickling and copying leave the memo (``_memo``) behind
+        return {"dim": self.dim, "hyperplanes": self.hyperplanes}
+
     def __str__(self) -> str:
         body = ", ".join(str(h) for h in self.hyperplanes)
         return f"Arrangement(dim={self.dim}, [{body}])"
+
+
+def _memo(arr: Arrangement, key: object, compute: Callable[[], tuple]) -> tuple:
+    """Fact ``key`` of ``arr``, a tuple: ``compute()`` on first use, then kept in the
+    instance ``__dict__``, outside the fields that equality, hash and repr read."""
+    memo = arr.__dict__.setdefault("_memo", {})
+    return memo[key] if key in memo else memo.setdefault(key, compute())
 
 
 def arrangement(dim: int, rows: Iterable[Sequence[Scalar]]) -> Arrangement:
@@ -232,7 +242,12 @@ class Flat2:
 
 def rank2_flats(arr: Arrangement) -> list[Flat2]:
     """All closed rank-2 flats with their lines, ordered by their two smallest members."""
-    return [Flat2(*flat) for flat in _rank2_flats(arr.normals())]
+    return [Flat2(*flat) for flat in _flats(arr)]
+
+
+def _flats(arr: Arrangement) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    """``_rank2_flats`` of the whole arrangement, computed once per object."""
+    return _memo(arr, "rank2_flats", lambda: tuple(_rank2_flats(arr.normals())))
 
 
 def _rank2_flats(normals: Sequence[IntVector]) -> list[tuple[tuple[int, ...], tuple]]:

@@ -34,7 +34,9 @@ from .arrangement import (
     Flat2,
     IntVector,
     Multiplicity,
+    _flats,
     _images,
+    _memo,
     _rank2_flats,
     _restrict,
     check_multiplicity,
@@ -59,7 +61,7 @@ def lmp2_breakdown(arr: Arrangement, m: Multiplicity
 def lmp2(arr: Arrangement, m: Multiplicity) -> int:
     """Second local mixed product: sum of d1*d2 over all rank-2 flats."""
     check_multiplicity(arr, m)
-    return _lmp2(_rank2_flats(arr.normals()), m, range(arr.n))
+    return _lmp2(_flats(arr), m, range(arr.n))
 
 
 def _e2(ms: Sequence[int]) -> int:
@@ -67,7 +69,7 @@ def _e2(ms: Sequence[int]) -> int:
     return (sum(ms) ** 2 - sum([x * x for x in ms])) // 2
 
 
-def _lmp2(flats: list[tuple], m: Multiplicity, block: Iterable[int]) -> int:
+def _lmp2(flats: Sequence[tuple], m: Multiplicity, block: Iterable[int]) -> int:
     """LMP2 on ``block`` under a checked ``m``, from its ``_rank2_flats``, by the pair
     term: two hyperplanes lie in exactly one rank-2 flat and two lines have exponents
     (m_i, m_j), so LMP2 = e2(m on the block) + (d1*d2 - e2(m on X)) over X of 3+ lines."""
@@ -336,8 +338,7 @@ def nonfree_by_lmp_gmp(arr: Arrangement, m: Multiplicity
     Returns a certificate iff LMP2 exceeds gmp2_max(rank, total); a None
     result is inconclusive, never a freeness proof.
     """
-    check_multiplicity(arr, m)
-    return _lmp2_certificate(lmp2(arr, m), arr.rank(), m)
+    return _lmp2_certificate(lmp2(arr, m), arr.rank(), m)  # lmp2 checks m
 
 
 def _lmp2_certificate(value: int, rank: int, m: Multiplicity
@@ -387,24 +388,28 @@ def nonfree_multiplicity_family(arr: Arrangement
     gap guarantees k0 exists and the inequality persists for every k >= k0
     beyond the larger root of the real-bound quadratic.
     """
-    return _family(arr, find_generic_circuit(arr))
+    circuit = find_generic_circuit(arr)
+    k = _k0(len(circuit) - 1, arr.n)
+    return circuit, k, tuple(k if i in circuit else 1 for i in range(arr.n))
 
 
-def _family(arr: Arrangement, circuit: tuple[int, ...]
-            ) -> tuple[tuple[int, ...], int, Multiplicity]:
-    """nonfree_multiplicity_family from a generic circuit of ``arr``."""
-    rank = len(circuit) - 1
-    n = arr.n
-    pairs = comb(rank + 1, 2)
-    cap = _k0_cap(rank, n - (rank + 1))
-    k = 1
+def _k0(rank: int, n: int) -> int:
+    """The least k with C(r+1,2) k^2 > gmp2_max(r, s), s = (r+1)k + t, t = n - r - 1.
+
+    A balanced partition has sum d_i^2 <= s^2/r + r/4, so gmp2_max(r, s) >=
+    C(r,2)(s/r)^2 - r/8, and k fails if 8r (C(r+1,2)k^2 - C(r,2)(s/r)^2 + r/8) =
+    4(r+1)k^2 - 8(r^2-1)tk - 4(r-1)t^2 + r^2 <= 0.  That is convex and negative at
+    k = 1 for t >= 1, so every k up to its larger root (r-1)t + r sqrt(E) / (2(r+1)),
+    E = (r+1)(4(r-1)t^2 - 1), fails: the scan starts past it, in integers (t = 0: at 1).
+    """
+    pairs, t = comb(rank + 1, 2), n - (rank + 1)
+    k = 1 if t == 0 else (rank - 1) * t + 1 + isqrt(
+        rank * rank * (rank + 1) * (4 * (rank - 1) * t * t - 1)) // (2 * (rank + 1))
     while pairs * k * k <= gmp2_max(rank, (k - 1) * (rank + 1) + n):
         k += 1
-        if k > cap:
+        if k > _k0_cap(rank, t):
             raise InternalInvariantError("k0 search exceeded its provable cap")
-    members = set(circuit)
-    m = tuple(k if i in members else 1 for i in range(n))
-    return circuit, k, m
+    return k
 
 
 def _k0_cap(rank: int, slack: int) -> int:
@@ -413,11 +418,16 @@ def _k0_cap(rank: int, slack: int) -> int:
     return 2 * (rank - 1) * slack + isqrt((rank - 1) * slack * slack // (rank + 1)) + 3
 
 
-def _factor_family(factor: Factor, circuits: list[set[int]]
-                   ) -> tuple[tuple[int, ...], int, Multiplicity]:
-    """nonfree_multiplicity_family of a connected factor of rank >= 3 from its circuits."""
-    arr = factor.arrangement
-    return _family(arr, _generic_circuit(arr, factor.rank, "proof", circuits))
+def _factor_family(arr: Arrangement, decomp: Decomposition, circuits: list[list[set[int]]]
+                   ) -> tuple[Factor, tuple[int, ...], int, tuple[int, ...], Multiplicity]:
+    """The first factor of rank >= 3 of ``arr``'s decomposition, its generic circuit
+    (from its fundamental circuits), k0, the circuit's input indices, and the
+    multiplicity on ``arr`` that is k0 there and 1 elsewhere."""
+    factor, circuits = next(fc for fc in zip(decomp.factors, circuits) if fc[0].rank >= 3)
+    circuit = _generic_circuit(factor.arrangement, factor.rank, "proof", circuits)
+    k0 = _k0(factor.rank, factor.arrangement.n)
+    original = tuple(sorted(factor.indices[i] for i in circuit))
+    return factor, circuit, k0, original, tuple(k0 if i in original else 1 for i in range(arr.n))
 
 
 # -- the verdict -------------------------------------------------------------
@@ -457,32 +467,27 @@ def decide_totally_free(arr: Arrangement) -> Verdict:
     and a non-freeness certificate for the multiplicity that is k0 on the
     circuit and 1 elsewhere.
     """
-    return _verdict(arr, None)
+    return _verdict(arr)
 
 
-def _verdict(arr: Arrangement, flats: list[tuple] | None) -> Verdict:
-    """decide_totally_free from the ``_rank2_flats`` of ``arr`` (None: computed
-    here).  The factor's LMP2 comes from those inside its block, which are
-    the factor's flats: essentialization is linear and injective on the span,
-    so their lines keep their exponents.  A flat meeting two blocks, of ranks
-    adding up to 2, is a pair.  The induction starts from the circuits of
+def _verdict(arr: Arrangement) -> Verdict:
+    """decide_totally_free.  The factor's LMP2 comes from the memoized flats of ``arr``
+    inside its block, the factor's flats: essentialization is linear and injective
+    on the span, so their lines keep their exponents.  A flat meeting two blocks,
+    of ranks adding up to 2, is a pair.  The induction starts from the circuits of
     the decomposition's elimination and rechecks rank and connectivity."""
     decomp, circuits = _decompose(arr)
     if decomp.max_factor_rank() <= 2:
         return Verdict(True, decomp, None)
-    factor, circuits = next(fc for fc in zip(decomp.factors, circuits) if fc[0].rank >= 3)
-    circuit, k0, m_factor = _factor_family(factor, circuits)
-    original = tuple(sorted(factor.indices[i] for i in circuit))
-    m_full = tuple(k0 if i in original else 1 for i in range(arr.n))
-    flats = _rank2_flats(arr.normals()) if flats is None else flats
+    factor, circuit, k0, original, m_full = _factor_family(arr, decomp, circuits)
     block = set(factor.indices)
-    large = [f for f in flats if len(f[0]) > 2]
+    large = [f for f in _flats(arr) if len(f[0]) > 2]
     shared = [len(block.intersection(f[0])) for f in large]
     if any(0 < k < len(f[0]) for f, k in zip(large, shared)):
         raise InternalInvariantError("a rank-2 flat across two factors is not a pair")
     value = _lmp2([f for f, k in zip(large, shared) if k], m_full, factor.indices)
-    certificate = _certificate(value, factor.rank, sum(m_factor), m_full,
-                               factor.indices, original, k0)
+    total = sum([m_full[i] for i in factor.indices])
+    certificate = _certificate(value, factor.rank, total, m_full, factor.indices, original, k0)
     return Verdict(False, decomp, Witness(factor, circuit, original, k0, certificate))
 
 
@@ -519,9 +524,10 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     The indices must be closed: every other hyperplane raises the rank.
     A closed set is a localization A_X, and localization keeps a
     multiarrangement free (Ziegler 1989), so LMP2 > GMP2max on it refutes
-    freeness of the whole; on another subset it refutes nothing.
+    freeness of the whole; on another subset it refutes nothing.  Rank, closure
+    and flats are memoized on ``arr`` by index tuple (``_closure_facts``).
     """
-    indices = cert.explanation.factor_indices
+    indices = tuple(cert.explanation.factor_indices)
     numbers = (*indices, cert.rank, cert.lmp2_lower, cert.gmp2_upper, cert.total_multiplicity)
     if any(type(x) is not int for x in numbers):
         return False
@@ -531,17 +537,26 @@ def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
         return False
     if len(set(indices) & set(range(arr.n))) != len(indices):
         return False
-    normals = [arr.hyperplanes[i].normal for i in indices]
     m_sub = tuple(cert.multiplicity[i] for i in indices)
-    if (sum(m_sub) != cert.total_multiplicity or cert.rank < 1
-            or len(_eliminate(zip(*normals), len(normals), reduce=False)[1]) != cert.rank):
+    if sum(m_sub) != cert.total_multiplicity or cert.rank < 1:
         return False
-    members = set(indices)
-    if any(len(_eliminate(zip(*normals, h.normal), len(normals) + 1, reduce=False)[1])
-           == cert.rank for i, h in enumerate(arr.hyperplanes) if i not in members):
+    rank, closed, flats = _memo(arr, ("verify", indices), lambda: _closure_facts(arr, indices))
+    if rank != cert.rank or not closed:
         return False
-    recomputed = _lmp2(_rank2_flats(normals), m_sub, range(len(indices)))
+    recomputed = _lmp2(flats, m_sub, range(len(indices)))
     if recomputed < cert.lmp2_lower or cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
         return False
     upper = gmp2_max(cert.rank, cert.total_multiplicity)
     return upper == cert.gmp2_upper and recomputed > upper
+
+
+def _closure_facts(arr: Arrangement, indices: tuple[int, ...]) -> tuple[int, bool, tuple]:
+    """The indexed normals' rank, whether every other hyperplane raises it, and if
+    so their rank-2 flats of three or more lines."""
+    normals = [arr.hyperplanes[i].normal for i in indices]
+    rank = len(_eliminate(zip(*normals), len(normals), reduce=False)[1])
+    members = set(indices)
+    closed = not any(len(_eliminate(zip(*normals, h.normal), len(normals) + 1, reduce=False)[1])
+                     == rank for i, h in enumerate(arr.hyperplanes) if i not in members)
+    flats = tuple([f for f in _rank2_flats(normals) if len(f[0]) > 2]) if closed else ()
+    return rank, closed, flats

@@ -25,7 +25,7 @@ from . import __version__
 from .arrangement import (
     Arrangement,
     Multiplicity,
-    _rank2_flats,
+    _flats,
     check_multiplicity,
     derivation,
     format_arrangement,
@@ -206,9 +206,8 @@ def _human_verdict(payload: dict) -> str:
 
 def cmd_analyze(args) -> int:
     arr, m = _load(args)
-    flats = _rank2_flats(arr.normals())
-    verdict = _verdict(arr, flats)
-    members = _Flats([f[0] for f in flats])
+    verdict = _verdict(arr)
+    members = _Flats([f[0] for f in _flats(arr)])
     result = {
         "verdict": verdict_payload(verdict),
         "rank2_flats": members,
@@ -355,24 +354,16 @@ def cmd_gmp2max(args) -> int:
 def cmd_witness(args) -> int:
     arr, _ = _load(args)
     decomp, circuits = _decompose(arr)
-    factor, circuits = next(((f, c) for f, c in zip(decomp.factors, circuits) if f.rank >= 3),
-                            (None, None))
-    if factor is None:
+    if decomp.max_factor_rank() <= 2:
         raise ReducibleInputError("no irreducible factor of rank >= 3")
-    circuit_proof, k0, _ = _factor_family(factor, circuits)
-    circuit_brute = _generic_circuit(factor.arrangement, factor.rank, "brute")
+    factor, _, k0, proof, m_full = _factor_family(arr, decomp, circuits)
+    brute = _generic_circuit(factor.arrangement, factor.rank, "brute")
     check = circuit_is_nonfree_check(factor.rank)
-
-    def to_original(circuit):
-        return sorted(factor.indices[i] for i in circuit)
-
-    members = set(to_original(circuit_proof))
-    m_full = tuple(k0 if i in members else 1 for i in range(arr.n))
     payload = {
         "factor_indices": list(factor.indices),
         "factor_rank": factor.rank,
-        "circuit_proof_following": to_original(circuit_proof),
-        "circuit_brute_force": to_original(circuit_brute),
+        "circuit_proof_following": list(proof),
+        "circuit_brute_force": sorted(factor.indices[i] for i in brute),
         "circuit_check": {"lmp2": check.lmp2,
                           "gmp2_real_bound": _rational(check.gmp2_real_bound),
                           "gap": _rational(check.gap)},

@@ -45,9 +45,8 @@ def generic_arrangement(n: int, dim: int, seed: int = 0) -> Arrangement:
     normals a, b, a drawn first: iff h has b's image in the restriction to
     a.  So each chosen normal keeps the images of the normals chosen after
     it, and one image per chosen normal decides.  The kept images count
-    against MAX_COEFFICIENTS too, at dim(dim+1)/2 integers per pair (an
-    image holds dim - 1).  After MAX_REJECTIONS rejections in a row the
-    draw fails with ValueError.
+    against MAX_COEFFICIENTS too: one per pair, of dim - 1 integers each.
+    After MAX_REJECTIONS rejections in a row the draw fails with ValueError.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -56,9 +55,9 @@ def generic_arrangement(n: int, dim: int, seed: int = 0) -> Arrangement:
     if dim == 1 and n > 1:
         raise ValueError("dimension 1 admits only one hyperplane")
     check_size(f"generic {n} {dim}", dim, n)
-    held = n * (n - 1) // 2 * dim * (dim + 1) // 2 if dim >= 3 else 0
+    held = n * (n - 1) // 2 * (dim - 1) if dim >= 3 else 0
     if held > MAX_COEFFICIENTS:
-        raise ValueError(f"generic {n} {dim}: the plane keys of {n} normals hold up to "
+        raise ValueError(f"generic {n} {dim}: the images of {n} normals hold up to "
                          f"{held} integers, above the bound of {MAX_COEFFICIENTS}")
     rng = random.Random(seed)
     chosen: list[Hyperplane] = []

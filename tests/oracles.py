@@ -559,6 +559,23 @@ def pairwise_generic_normals(n: int, dim: int, seed: int) -> list[tuple[int, ...
     return chosen
 
 
+def linear_k0(rank: int, n: int) -> int:
+    """The least k with C(rank+1, 2) k^2 above the balanced-partition maximum of e2
+    over rank parts of (k-1)(rank+1) + n, by trying k = 1, 2, ... in turn.
+
+    The package's k0 search before it started past the k that the real bound
+    rules out, kept as the reference for it.
+    """
+    k = 1
+    while True:
+        total = (k - 1) * (rank + 1) + n
+        q, rho = divmod(total, rank)
+        squares = rank * q * q + (2 * q + 1) * rho  # rho parts of q + 1, the rest q
+        if comb(rank + 1, 2) * k * k > (total * total - squares) // 2:
+            return k
+        k += 1
+
+
 def e2(values) -> int:
     s = sum(values)
     return (s * s - sum(v * v for v in values)) // 2

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import json
+import os
+import pickle
 import random
 import sys
 import time
@@ -36,17 +39,23 @@ from totalfree import (
     product,
     rank2_basis,
     rank2_exponents,
+    rank2_flats,
     verify_certificate,
 )
-from totalfree.arrangement import _essential, _rank2_flats, _restrict, format_arrangement
+from totalfree.arrangement import _essential, _restrict, format_arrangement
 from totalfree.cli import main
 from totalfree.matroid import connected_components, decompose
 from totalfree.certificates import (
-    CertificateExplanation, _certificate, _generic_circuit, _k0_cap, _verdict,
-    nonfree_multiplicity_family)
+    CertificateExplanation, NonFreenessCertificate, _certificate, _generic_circuit, _k0,
+    _k0_cap, _verdict, nonfree_multiplicity_family)
 from oracles import (
     deletion, deletion_restriction_circuit, e2, exhaustive_e2_max, fraction_components,
-    fraction_rank, kernel_basis_restriction, random_invertible, random_unimodular)
+    fraction_rank, kernel_basis_restriction, linear_k0, random_invertible, random_unimodular)
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench"))
+from reference import braid_lmp2  # noqa: E402  the benchmark's closed forms
+from workloads import tamper  # noqa: E402  and tamperings
 
 THREE_LINES = arrangement(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -324,7 +333,7 @@ def test_verdict_lmp2_from_the_input_flats_matches_the_factor_pass(cases, lines,
     change = random_unimodular(rng, arr.dim)
     arr = arrangement(arr.dim, [[sum(a[i] * change[i][j] for i in range(arr.dim))
                                  for j in range(arr.dim)] for a in arr.normals()])
-    verdict = _verdict(arr, _rank2_flats(arr.normals()))
+    verdict = _verdict(arr)
     assert verdict == decide_totally_free(arr)
     w = verdict.witness
     m_factor = tuple(w.k0 if i in w.circuit else 1 for i in range(w.factor.arrangement.n))
@@ -397,7 +406,7 @@ def _counting(monkeypatch) -> Counter:
                for name in ("linalg", "arrangement", "matroid", "certificates", "cli")}
     for name in ("linalg", "arrangement", "matroid", "certificates"):
         monkeypatch.setattr(modules[name], "_eliminate", counted("elim", modules[name]._eliminate))
-    for module in (modules["arrangement"], modules["certificates"], modules["cli"]):
+    for module in (modules["arrangement"], modules["certificates"]):
         monkeypatch.setattr(module, "_rank2_flats", counted("flats", module._rank2_flats))
     monkeypatch.setattr(totalfree.certificates, "line_exponents",
                         counted("reads", totalfree.certificates.line_exponents))
@@ -431,6 +440,93 @@ def test_verify_certificate_builds_no_arrangement(monkeypatch):
     counts = _counting(monkeypatch)
     assert verify_certificate(arr, cert)
     assert counts == {"elim": 1, "flats": 1, "reads": 10}
+
+
+def _family_certificates(arr):
+    """nonfree_by_lmp_gmp at k0..k0+8 on ``arr``'s generic circuit."""
+    witness = decide_totally_free(arr).witness
+    members = set(witness.circuit_original)
+    return [nonfree_by_lmp_gmp(arr, tuple(witness.k0 + j if i in members else 1
+                                          for i in range(arr.n))) for j in range(9)]
+
+
+def test_reverification_reuses_the_verifiers_structure(monkeypatch):
+    # Nine certificates (k0..k0+8) on one new braid-dim-4 arrangement: one
+    # flats pass and one rank elimination, no closure elimination (the
+    # certificates cover every hyperplane); each reads its 4 three-line flats.
+    certs = _family_certificates(braid_arrangement(4))
+    arr = braid_arrangement(4)
+    counts = _counting(monkeypatch)
+    assert all([verify_certificate(arr, cert) for cert in certs])
+    assert counts == {"elim": 1, "flats": 1, "reads": 36}
+
+
+def test_the_emitter_finds_its_flats_once_per_arrangement(monkeypatch):
+    # A verdict and nonfree_by_lmp_gmp at k0..k0+8 on one arrangement: one
+    # flats pass.  The verdict eliminates 4 times and builds its factor; the
+    # rank is not memoized, so each certificate eliminates once for it.
+    arr = braid_arrangement(4)
+    counts = _counting(monkeypatch)
+    certs = _family_certificates(arr)
+    assert [cert.lmp2_lower for cert in certs] == [braid_lmp2(4, c.multiplicity) for c in certs]
+    assert counts == {"elim": 13, "built": 1, "flats": 1, "reads": 40}
+
+
+def _claim(cert, indices, rank):
+    """An inexact claim on ``indices`` at ``rank`` that passes the inequality."""
+    total = sum(cert.multiplicity[i] for i in indices)
+    bound = gmp2_max(rank, total)
+    return NonFreenessCertificate(
+        bound + 1, False, bound, rank, total, cert.multiplicity,
+        CertificateExplanation("LMP2>GMP2max", indices, None, None, None,
+                               gmp2_real_bound(rank, total)))
+
+
+_CHECKS = ("genuine", "lmp2", "mult", "circuit", "flat", "rank")
+
+
+@settings(max_examples=40, derandomize=True)
+@given(st.sampled_from([4, 5]),
+       st.lists(st.tuples(st.integers(0, 8), st.sampled_from(_CHECKS)), min_size=2, max_size=14),
+       st.randoms(use_true_random=False))
+def test_memoized_verdicts_equal_verdicts_on_fresh_arrangements(dim, checks, rng):
+    # Genuine and tampered certificates interleaved on one Arrangement object:
+    # the benchmark's tamperings, a non-closed index set (the generic circuit),
+    # a closed one of rank 2 (a three-line flat) and a wrong rank.  Each
+    # verdict equals the verdict on a new equal arrangement, with no memo.
+    change = random_unimodular(rng, dim)
+    arr = arrangement(dim, [[sum(a[i] * change[i][j] for i in range(dim)) for j in range(dim)]
+                            for a in braid_arrangement(dim).normals()])
+    certs = _family_certificates(arrangement(dim, arr.normals()))
+    circuit = find_generic_circuit(arr)
+    flat = next(f.members for f in rank2_flats(arr) if len(f.members) == 3)
+    shared = arrangement(dim, arr.normals())
+    for j, how in checks:
+        cert = certs[j]
+        if how in ("lmp2", "mult"):
+            cert = tamper(cert, how, rng)
+        elif how == "circuit":
+            cert = _claim(cert, circuit, dim - 1)
+        elif how == "flat":
+            cert = _claim(cert, flat, 2)
+        elif how == "rank":
+            cert = dataclasses.replace(cert, rank=cert.rank + 1)
+        verdict = verify_certificate(shared, cert)
+        assert verdict == verify_certificate(arrangement(dim, arr.normals()), cert)
+        assert verdict == (how == "genuine")
+
+
+def test_the_memo_changes_nothing_about_an_arrangement():
+    arr, twin = braid_arrangement(5), braid_arrangement(5)
+    assert verify_certificate(arr, decide_totally_free(arr).witness.certificate)
+    memo = vars(arr)["_memo"]
+    assert len(memo) == 2 and all(type(entry) is tuple for entry in memo.values())
+    assert "_memo" not in vars(twin)
+    assert arr == twin and hash(arr) == hash(twin) and repr(arr) == repr(twin)
+    for other in (pickle.loads(pickle.dumps(arr)), copy.copy(arr), copy.deepcopy(arr),
+                  dataclasses.replace(arr)):
+        assert other == arr and hash(other) == hash(arr) and repr(other) == repr(arr)
+        assert "_memo" not in vars(other)  # a fresh memo
 
 
 def test_find_circuit_fuzz_random_connected():
@@ -512,6 +608,14 @@ def test_k0_of_a_bare_circuit_is_one():
     circuit, k0, m = nonfree_multiplicity_family(arr)
     assert k0 == 1 and m == (1, 1, 1, 1)
     assert 6 > gmp2_max(3, 4) == 5
+
+
+def test_k0_scan_from_the_real_bound_matches_the_linear_scan():
+    # Every n up to rank + 60, then every 9th up to rank + 400; the linear
+    # scan over every n up to rank + 400 would take about 1.7e7 steps.
+    for rank in range(3, 16):
+        for n in [*range(rank + 1, rank + 61), *range(rank + 61, rank + 401, 9)]:
+            assert _k0(rank, n) == linear_k0(rank, n)
 
 
 def test_k0_cap_in_integers_is_the_fraction_form():

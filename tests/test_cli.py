@@ -93,7 +93,7 @@ def test_generate_bad_family(capsys):
     ("braid 3000", "13495500000 coefficients"),
     ("boolean 300000", "90000000000 coefficients"),
     ("generic 2000 10000", "20000000 coefficients"),
-    ("generic 2000 3", "11994000 integers"),
+    ("generic 3200 3", "10236800 integers"),
     ("product (generic 1 100000) (boolean 200)", "20140200 coefficients"),
 ], ids=["braid", "boolean", "generic", "generic-plane-keys", "product"])
 def test_generate_refuses_large_families(capsys, spec, size):
