@@ -101,7 +101,7 @@ class Arrangement:
         return [h.normal for h in self.hyperplanes]
 
     def rank(self) -> int:
-        return len(_eliminate(zip(*self.normals()), self.n, reduce=False)[1])  # the short side
+        return len(_circuits(self))  # one fundamental circuit per basis element
 
     def __getstate__(self):  # pickling and copying leave the memo (``_memo``) behind
         return {"dim": self.dim, "hyperplanes": self.hyperplanes}
@@ -111,11 +111,26 @@ class Arrangement:
         return f"Arrangement(dim={self.dim}, [{body}])"
 
 
-def _memo(arr: Arrangement, key: object, compute: Callable[[], tuple]) -> tuple:
-    """Fact ``key`` of ``arr``, a tuple: ``compute()`` on first use, then kept in the
+def _memo(arr: Arrangement, key: object, compute: Callable[[], object]) -> object:
+    """Fact ``key`` of ``arr``, immutable: ``compute()`` on first use, then kept in the
     instance ``__dict__``, outside the fields that equality, hash and repr read."""
     memo = arr.__dict__.setdefault("_memo", {})
     return memo[key] if key in memo else memo.setdefault(key, compute())
+
+
+def _fundamental_circuits(normals: Sequence[IntVector]) -> tuple[frozenset[int], ...]:
+    """Fundamental circuits for the last-first greedy basis: the pivots of the
+    normals as columns, last first.  Pivot row i is nonzero on basis element
+    i, its largest index, and on each non-basis element whose circuit holds it."""
+    n = len(normals)
+    rows, basis = _eliminate(zip(*normals[::-1]), n, reduce=True)
+    return tuple(frozenset([n - 1 - c for c, x in enumerate(r) if x]) for r in rows[:len(basis)])
+
+
+def _circuits(arr: Arrangement) -> tuple[frozenset[int], ...]:
+    """``_fundamental_circuits`` of the whole arrangement, computed once per object
+    (``matroid.decompose`` fills a factor's entry from the input's)."""
+    return _memo(arr, "circuits", lambda: _fundamental_circuits(arr.normals()))
 
 
 def arrangement(dim: int, rows: Iterable[Sequence[Scalar]]) -> Arrangement:

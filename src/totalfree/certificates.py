@@ -5,8 +5,9 @@ irreducible factor of its product decomposition has rank at most 2.  For a
 rank >= 3 factor this module also produces a machine-checkable witness:
 
 * a generic circuit B of rank+1 hyperplanes in which every three intersect
-  in codimension 3, built either by the deletion/restriction induction from
-  the connectivity argument or by brute-force lexicographic scan;
+  in codimension 3, built by the deletion/restriction induction from the
+  connectivity argument (the ``witness`` command also runs a brute-force
+  lexicographic scan, ``_brute_circuit``);
 * the threshold k0 such that putting multiplicity k >= k0 on B and 1
   elsewhere forces the second local mixed product LMP2 above the maximum
   possible second global mixed product GMP2 of a free multiarrangement
@@ -34,7 +35,9 @@ from .arrangement import (
     Flat2,
     IntVector,
     Multiplicity,
+    _circuits,
     _flats,
+    _fundamental_circuits,
     _images,
     _memo,
     _rank2_flats,
@@ -44,7 +47,7 @@ from .arrangement import (
 )
 from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
 from .linalg import _eliminate
-from .matroid import Decomposition, Factor, _blocks, _decompose, _fundamental_circuits
+from .matroid import Decomposition, Factor, _blocks, decompose
 from .rank2 import ExponentPair, line_exponents
 
 # -- mixed products ----------------------------------------------------------
@@ -130,7 +133,9 @@ def gmp2_max_exhaustive(rank: int, total: int, limit: int = 500_000) -> int | No
 
 
 def is_generic_circuit(arr: Arrangement, indices: tuple[int, ...]) -> bool:
-    """The defining property: rank+1 distinct ints in range, every triple of rank 3."""
+    """The defining property: rank+1 distinct ints in range, every triple of rank 3.
+    The rank is the memoized one, from the decomposition's elimination if it ran;
+    the triple check is independent of every elimination."""
     if (any(type(i) is not int or not 0 <= i < arr.n for i in indices)
             or len(set(indices)) != len(indices) or len(indices) != arr.rank() + 1):
         return False
@@ -144,15 +149,24 @@ def _all_triples_rank3(normals: list[IntVector]) -> bool:
                for i, a in enumerate(normals[:-2]))
 
 
+def _checked(arr: Arrangement, indices: Sequence[int]) -> tuple[int, ...]:
+    """Both circuit searches' postcondition: sorted ``indices`` pass ``is_generic_circuit``."""
+    circuit = tuple(sorted(indices))
+    if not is_generic_circuit(arr, circuit):
+        raise InternalInvariantError(f"circuit {circuit} fails the triple condition")
+    return circuit
+
+
 def _brute_circuit(arr: Arrangement, rank: int) -> list[int]:
-    """Lexicographically first (rank+1)-subset whose triples all have rank 3."""
+    """Lexicographically first (rank+1)-subset whose triples all have rank 3: the chosen are
+    generic, so only triples a, b, i are new, dependent iff a and b have one image under i."""
     normals = arr.normals()
 
     def extend(chosen: list[int]) -> list[int] | None:
         if len(chosen) == rank + 1:
             return chosen
         for i in range(chosen[-1] + 1 if chosen else 0, arr.n + len(chosen) - rank):
-            if _all_triples_rank3([normals[k] for k in chosen + [i]]):
+            if len(set(_images(normals[i], [normals[k] for k in chosen]))) == len(chosen):
                 found = extend(chosen + [i])
                 if found is not None:
                     return found
@@ -162,21 +176,19 @@ def _brute_circuit(arr: Arrangement, rank: int) -> list[int]:
     if found is None:
         raise InternalInvariantError(
             "no generic circuit found; contradicts the connectivity lemma")
+    _checked(arr, found)
     return found
 
 
-def _connected_level(normals: list[IntVector], rank: int,
-                     circuits: list[set[int]] | None = None) -> list[set[int]]:
-    """The fundamental circuits of the normals, checked to be ``rank`` in one block."""
-    circuits = _fundamental_circuits(normals) if circuits is None else circuits
+def _connected_level(circuits: Sequence[frozenset[int]], rank: int) -> None:
+    """Check that a level's fundamental circuits are ``rank`` in one block."""
     if len(circuits) != rank or len(_blocks(circuits)) != 1:
         raise InternalInvariantError(f"induction level is not a connected rank-{rank} matroid")
-    return circuits
 
 
 def _proof_circuit(normals: list[IntVector], rank: int,
-                   circuits: list[set[int]] | None = None) -> list[int]:
-    """Deletion/restriction induction on an arrangement's normals; returns their indices.
+                   circuits: Sequence[frozenset[int]]) -> list[int]:
+    """Deletion/restriction induction on normals and their circuits; returns their indices.
 
     Mirrors the inductive argument: delete the first hyperplane while that
     keeps the matroid connected, otherwise recurse into the restriction
@@ -186,12 +198,12 @@ def _proof_circuit(normals: list[IntVector], rank: int,
     lowers it by one.  Rank 3 is the base of the induction, split into the
     all-images-distinct case and the collision case.
 
-    Each level runs one elimination.  No hyperplane deleted or restricted
-    to is a coloop, so none is in the last-first basis, which then stays a
-    basis of the rest with the same fundamental circuits: the rest is
+    Each level below the first runs one elimination.  No hyperplane deleted or
+    restricted to is a coloop, so none is in the last-first basis, which then
+    stays a basis of the rest with the same fundamental circuits: the rest is
     connected iff those circuits, less the deleted hyperplanes, form one block.
     """
-    circuits = _connected_level(normals, rank, circuits)
+    _connected_level(circuits, rank)
     n = len(normals)
     s = 0  # hyperplanes before s are deleted
     while n - s > rank + 1 and len(_blocks([{e for e in c if e > s} for c in circuits])) == 1:
@@ -206,7 +218,7 @@ def _proof_circuit(normals: list[IntVector], rank: int,
     images, imap = _restrict(normals[s:], 0)
     imap = [None] * s + imap
     if rank == 3:
-        _connected_level(images, 2)
+        _connected_level(_fundamental_circuits(images), 2)
         if len(images) == n - s - 1:
             # All images distinct: any independent triple avoiding index s
             # completes a valid quadruple.
@@ -231,43 +243,25 @@ def _proof_circuit(normals: list[IntVector], rank: int,
             if _all_triples_rank3([normals[i] for i in candidate]):
                 return sorted(candidate)
         raise InternalInvariantError("collision case produced no valid quadruple")
-    sub = _proof_circuit(images, rank - 1)
+    sub = _proof_circuit(images, rank - 1, _fundamental_circuits(images))
     return sorted([s] + [next(i for i in range(s + 1, n) if imap[i] == r) for r in sub])
 
 
-def find_generic_circuit(arr: Arrangement, method: str = "proof") -> tuple[int, ...]:
-    """Generic circuit of a connected arrangement of rank >= 3: rank+1
-    sorted hyperplane indices, every three of rank 3.
-
-    ``method`` selects the proof-following induction (default) or the
-    brute-force lexicographic scan; both outputs satisfy the triple
-    invariant but need not coincide.  Essentiality is not required.  The
-    check of rank and connectivity is the induction's first elimination.
+def find_generic_circuit(arr: Arrangement) -> tuple[int, ...]:
+    """Generic circuit of a connected arrangement of rank >= 3, by the
+    proof-following induction: rank+1 sorted hyperplane indices, every three
+    of rank 3.  Essentiality is not required.  Rank and connectivity are read
+    from the memoized fundamental circuits, the induction's first level.
     """
     if arr.n == 0:
         raise ReducibleInputError("empty arrangement")
-    circuits = _fundamental_circuits(arr.normals())
+    circuits = _circuits(arr)
     if len(circuits) < 3:
         raise ReducibleInputError(
             f"rank {len(circuits)} < 3: no irreducible factor of rank >= 3")
     if len(_blocks(circuits)) != 1:
         raise ReducibleInputError("arrangement is reducible")
-    return _generic_circuit(arr, len(circuits), method, circuits)
-
-
-def _generic_circuit(arr: Arrangement, rank: int, method: str,
-                     circuits: list[set[int]] | None = None) -> tuple[int, ...]:
-    """find_generic_circuit on an arrangement known to be connected, of this rank >= 3."""
-    if method == "proof":
-        indices = _proof_circuit(arr.normals(), rank, circuits)
-    elif method == "brute":
-        indices = _brute_circuit(arr, rank)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    circuit = tuple(sorted(indices))
-    if not is_generic_circuit(arr, circuit):
-        raise InternalInvariantError(f"{method} circuit fails the triple condition")
-    return circuit
+    return _checked(arr, _proof_circuit(arr.normals(), len(circuits), circuits))
 
 
 @dataclass(frozen=True)
@@ -338,14 +332,7 @@ def nonfree_by_lmp_gmp(arr: Arrangement, m: Multiplicity
     Returns a certificate iff LMP2 exceeds gmp2_max(rank, total); a None
     result is inconclusive, never a freeness proof.
     """
-    return _lmp2_certificate(lmp2(arr, m), arr.rank(), m)  # lmp2 checks m
-
-
-def _lmp2_certificate(value: int, rank: int, m: Multiplicity
-                      ) -> NonFreenessCertificate | None:
-    """nonfree_by_lmp_gmp from the LMP2 ``value`` and ``rank`` of the
-    whole multiarrangement under a checked ``m``, for callers that hold them."""
-    total = sum(m)
+    value, rank, total = lmp2(arr, m), arr.rank(), sum(m)  # lmp2 checks m
     if rank < 2 or value <= gmp2_max(rank, total):
         return None
     return _certificate(value, rank, total, tuple(m), tuple(range(len(m))))
@@ -418,13 +405,13 @@ def _k0_cap(rank: int, slack: int) -> int:
     return 2 * (rank - 1) * slack + isqrt((rank - 1) * slack * slack // (rank + 1)) + 3
 
 
-def _factor_family(arr: Arrangement, decomp: Decomposition, circuits: list[list[set[int]]]
+def _factor_family(arr: Arrangement
                    ) -> tuple[Factor, tuple[int, ...], int, tuple[int, ...], Multiplicity]:
     """The first factor of rank >= 3 of ``arr``'s decomposition, its generic circuit
-    (from its fundamental circuits), k0, the circuit's input indices, and the
-    multiplicity on ``arr`` that is k0 there and 1 elsewhere."""
-    factor, circuits = next(fc for fc in zip(decomp.factors, circuits) if fc[0].rank >= 3)
-    circuit = _generic_circuit(factor.arrangement, factor.rank, "proof", circuits)
+    (from the fundamental circuits ``decompose`` stored on it), k0, the circuit's
+    input indices, and the multiplicity on ``arr`` that is k0 there and 1 elsewhere."""
+    factor = next(f for f in decompose(arr).factors if f.rank >= 3)
+    circuit = find_generic_circuit(factor.arrangement)
     k0 = _k0(factor.rank, factor.arrangement.n)
     original = tuple(sorted(factor.indices[i] for i in circuit))
     return factor, circuit, k0, original, tuple(k0 if i in original else 1 for i in range(arr.n))
@@ -466,20 +453,17 @@ def decide_totally_free(arr: Arrangement) -> Verdict:
     the first rank >= 3 factor yields a generic circuit, the threshold k0,
     and a non-freeness certificate for the multiplicity that is k0 on the
     circuit and 1 elsewhere.
+
+    The factor's LMP2 comes from the memoized flats of ``arr`` inside its block,
+    the factor's flats: essentialization is linear and injective on the span, so
+    their lines keep their exponents.  A flat meeting two blocks, of ranks adding
+    up to 2, is a pair.  The induction starts from the circuits of the
+    decomposition's elimination and rechecks rank and connectivity.
     """
-    return _verdict(arr)
-
-
-def _verdict(arr: Arrangement) -> Verdict:
-    """decide_totally_free.  The factor's LMP2 comes from the memoized flats of ``arr``
-    inside its block, the factor's flats: essentialization is linear and injective
-    on the span, so their lines keep their exponents.  A flat meeting two blocks,
-    of ranks adding up to 2, is a pair.  The induction starts from the circuits of
-    the decomposition's elimination and rechecks rank and connectivity."""
-    decomp, circuits = _decompose(arr)
+    decomp = decompose(arr)
     if decomp.max_factor_rank() <= 2:
         return Verdict(True, decomp, None)
-    factor, circuit, k0, original, m_full = _factor_family(arr, decomp, circuits)
+    factor, circuit, k0, original, m_full = _factor_family(arr)
     block = set(factor.indices)
     large = [f for f in _flats(arr) if len(f[0]) > 2]
     shared = [len(block.intersection(f[0])) for f in large]

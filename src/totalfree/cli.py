@@ -36,15 +36,13 @@ from .certificates import (
     NonFreenessCertificate,
     Verdict,
     circuit_is_nonfree_check,
+    _brute_circuit,
     _factor_family,
-    _generic_circuit,
-    _lmp2_certificate,
-    _verdict,
     decide_totally_free,
     gmp2_max,
     gmp2_real_bound,
-    lmp2,
     lmp2_breakdown,
+    nonfree_by_lmp_gmp,
 )
 from .errors import (
     InternalInvariantError,
@@ -55,7 +53,7 @@ from .errors import (
 from .families import boolean_arrangement, braid_arrangement, check_size, generic_arrangement
 from .poly import HomPoly, parse_poly, poly_to_str
 from .rank2 import exponents_totally_free, rank2_basis, saito_check
-from .matroid import Decomposition, _decompose
+from .matroid import decompose
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -66,16 +64,12 @@ def _rational(value: Fraction) -> int | str:
     return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def make_report(command: str, arr: Arrangement | None, rank: int, result: dict) -> dict:
-    """The JSON report; ``rank`` is the input's, which every command already holds."""
+def make_report(command: str, arr: Arrangement | None, result: dict) -> dict:
+    """The JSON report; the input's rank is its memoized one."""
     report = {"command": command, "result": result, "version": __version__}
     if arr is not None:
-        report["input_summary"] = {"dim": arr.dim, "n": arr.n, "rank": rank}
+        report["input_summary"] = {"dim": arr.dim, "n": arr.n, "rank": arr.rank()}
     return report
-
-
-def _rank(decomp: Decomposition) -> int:
-    return decomp.ambient_dim - decomp.trivial_directions
 
 
 def certificate_payload(cert: NonFreenessCertificate) -> dict:
@@ -206,14 +200,14 @@ def _human_verdict(payload: dict) -> str:
 
 def cmd_analyze(args) -> int:
     arr, m = _load(args)
-    verdict = _verdict(arr)
+    verdict = decide_totally_free(arr)
     members = _Flats([f[0] for f in _flats(arr)])
     result = {
         "verdict": verdict_payload(verdict),
         "rank2_flats": members,
         "multiplicity": list(m),
     }
-    report = make_report("analyze", arr, _rank(verdict.decomposition), result)
+    report = make_report("analyze", arr, result)
     human = "\n".join([
         f"input: dim {arr.dim}, {arr.n} hyperplanes, rank {report['input_summary']['rank']}",
         f"rank-2 flats: {len(members)} with sizes {sorted(map(len, members), reverse=True)}",
@@ -227,7 +221,7 @@ def cmd_totally_free(args) -> int:
     arr, _ = _load(args)
     verdict = decide_totally_free(arr)
     payload = verdict_payload(verdict)
-    report = make_report("totally-free", arr, _rank(verdict.decomposition), payload)
+    report = make_report("totally-free", arr, payload)
     _emit(args, report, _human_verdict(payload))
     return 3 if args.strict and not verdict.totally_free else 0
 
@@ -238,7 +232,7 @@ def cmd_exponents(args) -> int:
     if not verdict.totally_free:
         payload = {"totally_free": False,
                    "certificate": certificate_payload(verdict.witness.certificate)}
-        report = make_report("exponents", arr, _rank(verdict.decomposition), payload)
+        report = make_report("exponents", arr, payload)
         human = ("not totally free; no exponents.\n"
                  + _human_verdict(verdict_payload(verdict)))
         _emit(args, report, human)
@@ -273,7 +267,7 @@ def cmd_exponents(args) -> int:
     payload = {"totally_free": True, "exponents": list(exps),
                "factors": factors_payload,
                "trivial_directions": verdict.decomposition.trivial_directions}
-    report = make_report("exponents", arr, _rank(verdict.decomposition), payload)
+    report = make_report("exponents", arr, payload)
     _emit(args, report, "\n".join(human_lines))
     return 0
 
@@ -296,7 +290,7 @@ def cmd_lmp2(args) -> int:
     breakdown = lmp2_breakdown(arr, m)
     value = sum(pair.product for _, pair in breakdown)
     rank = arr.rank()
-    cert = _lmp2_certificate(value, rank, m)
+    cert = nonfree_by_lmp_gmp(arr, m)
     upper = gmp2_max(rank, sum(m)) if rank >= 1 else 0
     payload = {
         "lmp2": value,
@@ -309,7 +303,7 @@ def cmd_lmp2(args) -> int:
         "outcome": "certificate" if cert else "inconclusive",
         "certificate": certificate_payload(cert) if cert else None,
     }
-    report = make_report("lmp2", arr, rank, payload)
+    report = make_report("lmp2", arr, payload)
     human_lines = [f"LMP2 = {value}"]
     for f, pair in breakdown:
         human_lines.append(f"  flat {list(f.members)}: exponents {pair.as_tuple()} "
@@ -325,7 +319,7 @@ def cmd_gmp2max(args) -> int:
     if args.input:
         arr, m = _load(args)
         rank, total = arr.rank(), sum(m)
-        cert = _lmp2_certificate(lmp2(arr, m), rank, m)
+        cert = nonfree_by_lmp_gmp(arr, m)
         outcome = "certificate" if cert else "inconclusive"
         cert_payload = certificate_payload(cert) if cert else None
     else:
@@ -342,7 +336,7 @@ def cmd_gmp2max(args) -> int:
     if outcome is not None:
         payload["outcome"] = outcome
         payload["certificate"] = cert_payload
-    report = make_report("gmp2max", arr, rank, payload)
+    report = make_report("gmp2max", arr, payload)
     human = (f"GMP2max(rank {rank}, total {total}) = {value}"
              f"   (real bound {_rational(bound)})")
     if outcome is not None:
@@ -353,11 +347,10 @@ def cmd_gmp2max(args) -> int:
 
 def cmd_witness(args) -> int:
     arr, _ = _load(args)
-    decomp, circuits = _decompose(arr)
-    if decomp.max_factor_rank() <= 2:
+    if decompose(arr).max_factor_rank() <= 2:
         raise ReducibleInputError("no irreducible factor of rank >= 3")
-    factor, _, k0, proof, m_full = _factor_family(arr, decomp, circuits)
-    brute = _generic_circuit(factor.arrangement, factor.rank, "brute")
+    factor, _, k0, proof, m_full = _factor_family(arr)
+    brute = _brute_circuit(factor.arrangement, factor.rank)
     check = circuit_is_nonfree_check(factor.rank)
     payload = {
         "factor_indices": list(factor.indices),
@@ -370,7 +363,7 @@ def cmd_witness(args) -> int:
         "k0": k0,
         "multiplicity_vector": list(m_full),
     }
-    report = make_report("witness", arr, _rank(decomp), payload)
+    report = make_report("witness", arr, payload)
     human = "\n".join([
         f"factor: hyperplanes {list(factor.indices)} (rank {factor.rank})",
         f"generic circuit (proof-following): {payload['circuit_proof_following']}",
@@ -401,7 +394,7 @@ def cmd_saito_verify(args) -> int:
     payload = {"verified": check.verified,
                "determinant": poly_to_str(check.det),
                "memberships": memberships}
-    report = make_report("saito-verify", arr, arr.rank(), payload)
+    report = make_report("saito-verify", arr, payload)
     human_lines = []
     for entry in memberships:
         flags = ", ".join("yes" if b else "NO" for b in entry["member"])

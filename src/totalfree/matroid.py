@@ -8,30 +8,21 @@ element to the basis elements of its fundamental circuit; the connected
 components of that graph are the matroid components, for any basis
 (Oxley, *Matroid Theory*, the chapter on connectivity).  One fraction-free
 reduced elimination of the normals, taken as columns, yields the basis and
-every circuit.  Each factor is the essentialization of its block: the
-block's normals restricted to the block's pivot coordinates.  That map is
-injective on the span, so it keeps circuits, and the last-first greedy basis
-of a direct sum restricts to each component: the same elimination gives
-each factor's own circuits to the circuit induction.  All of it is
-integer pivoting with no change-of-basis matrix, so the ambient dimension
-enters the cost only as the length of the normals.
+every circuit (``arrangement._fundamental_circuits``).  Each factor is the
+essentialization of its block: the block's normals restricted to the block's
+pivot coordinates.  That map is injective on the span, so it keeps circuits,
+and the last-first greedy basis of a direct sum restricts to each component:
+the same elimination gives each factor's own circuits, which ``decompose``
+stores as the factor arrangement's memo entry.  All of it is integer pivoting
+with no change-of-basis matrix, so the ambient dimension enters the cost only
+as the length of the normals.  The decomposition is memoized on the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, _essential
-from .linalg import _eliminate
-
-
-def _fundamental_circuits(normals) -> list[set[int]]:
-    """Fundamental circuits for the last-first greedy basis: the pivots of the
-    normals as columns, last first.  Pivot row i is nonzero on basis element
-    i, its largest index, and on each non-basis element whose circuit holds it."""
-    n = len(normals)
-    rows, basis = _eliminate(zip(*normals[::-1]), n, reduce=True)
-    return [{n - 1 - c for c, x in enumerate(row) if x} for row in rows[:len(basis)]]
+from .arrangement import Arrangement, _circuits, _essential, _memo
 
 
 def _blocks(supports) -> list[set[int]]:
@@ -46,13 +37,9 @@ def _blocks(supports) -> list[set[int]]:
 
 
 def connected_components(arr: Arrangement) -> list[tuple[int, ...]]:
-    """Finest partition of hyperplane indices with additive rank.
-
-    Blocks are returned sorted by smallest member; the empty arrangement
-    yields the empty partition.  Merging the fundamental circuits where
-    they meet joins along every edge of the fundamental-circuit graph.
-    """
-    return sorted(tuple(sorted(b)) for b in _blocks(_fundamental_circuits(arr.normals())))
+    """Finest partition of hyperplane indices with additive rank: the factors'
+    indices, sorted by smallest member; the empty arrangement has none."""
+    return [f.indices for f in decompose(arr).factors]
 
 
 @dataclass(frozen=True)
@@ -83,19 +70,20 @@ class Decomposition:
 
 
 def decompose(arr: Arrangement) -> Decomposition:
-    """Split into irreducible essential factors ordered by smallest index."""
-    return _decompose(arr)[0]
+    """Split into irreducible essential factors ordered by smallest index, once per object.
+    The blocks are the fundamental circuits merged where they meet, which joins
+    along every edge of the fundamental-circuit graph."""
+    return _memo(arr, "decompose", lambda: _decompose(arr))
 
 
-def _decompose(arr: Arrangement) -> tuple[Decomposition, list[list[set[int]]]]:
-    """``decompose`` and each factor's fundamental circuits, by position in its block."""
-    normals = arr.normals()
-    circuits = _fundamental_circuits(normals)
-    factors, factor_circuits = [], []
+def _decompose(arr: Arrangement) -> Decomposition:
+    """``decompose``; each factor arrangement gets its circuits, by position in its block."""
+    normals, circuits = arr.normals(), _circuits(arr)
+    factors = []
     for block in sorted(tuple(sorted(b)) for b in _blocks(circuits)):
         position = {e: k for k, e in enumerate(block)}
-        factor_circuits.append([{position[e] for e in c} for c in circuits if max(c) in position])
-        basis = [normals[max(c)] for c in circuits if max(c) in position]
-        factors.append(Factor(_essential([normals[i] for i in block], arr.dim, basis), block))
-    decomposition = Decomposition(arr.dim, tuple(factors), arr.dim - sum(f.rank for f in factors))
-    return decomposition, factor_circuits
+        own = [c for c in circuits if max(c) in position]
+        factor = _essential([normals[i] for i in block], arr.dim, [normals[max(c)] for c in own])
+        _memo(factor, "circuits", lambda: tuple([frozenset([position[e] for e in c]) for c in own]))
+        factors.append(Factor(factor, block))
+    return Decomposition(arr.dim, tuple(factors), arr.dim - sum(f.rank for f in factors))

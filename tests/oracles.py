@@ -14,6 +14,7 @@ from math import comb, gcd, lcm
 
 from totalfree.arrangement import (
     Arrangement, check_multiplicity, derivation, is_member_at, normalize_hyperplane)
+from totalfree.certificates import _all_triples_rank3
 from totalfree.errors import DimensionMismatchError
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
@@ -469,6 +470,28 @@ def assert_pivot_restriction(arr, ess) -> None:
         assert new == primitive([old[p] for p in pivots])
         assert primitive([sum(c * basis[k][j] for k, c in enumerate(new))
                           for j in range(arr.dim)]) == old
+
+
+def all_triples_brute_circuit(arr, rank: int) -> list[int] | None:
+    """The lexicographically first (rank+1)-subset whose triples all have rank 3.
+
+    The package's ``_brute_circuit`` before it tested only the triples through
+    each candidate: this DFS re-tests every triple of the chosen indices plus
+    the candidate, kept as the reference for it.
+    """
+    normals = arr.normals()
+
+    def extend(chosen: list[int]) -> list[int] | None:
+        if len(chosen) == rank + 1:
+            return chosen
+        for i in range(chosen[-1] + 1 if chosen else 0, arr.n + len(chosen) - rank):
+            if _all_triples_rank3([normals[k] for k in chosen + [i]]):
+                found = extend(chosen + [i])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([])
 
 
 def fraction_components(arr) -> list[tuple[int, ...]]:

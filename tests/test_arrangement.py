@@ -32,7 +32,7 @@ from totalfree.arrangement import (
 from totalfree.certificates import _all_triples_rank3, _brute_circuit
 from totalfree.linalg import Matrix
 from oracles import (
-    assert_pivot_restriction, brute_rank2_flats, deletion, euler_derivation,
+    all_triples_brute_circuit, assert_pivot_restriction, brute_rank2_flats, deletion, euler_derivation,
     fraction_components, fraction_rank, kernel_basis_restriction, monomial,
     pairwise_generic_normals, primitive, random_invertible, random_unimodular, rank_rows,
     rref_localization)
@@ -264,6 +264,16 @@ def test_brute_circuit_is_the_first_generic_subset_in_lexicographic_order():
         expected = _first_generic_subset(arr.normals(), rank + 1)
         assert expected is not None
         assert _brute_circuit(arr, rank) == expected
+
+
+@settings(max_examples=150, derandomize=True)
+@given(small_arrangements())
+def test_brute_circuit_through_each_candidate_matches_the_all_triples_scan(arr):
+    # The chosen indices are generic, so testing the images under each
+    # candidate finds the circuit that re-testing every triple finds.
+    rank = fraction_rank(arr.normals(), arr.dim)
+    assume(rank >= 3 and len(fraction_components(arr)) == 1)
+    assert _brute_circuit(arr, rank) == all_triples_brute_circuit(arr, rank)
 
 
 @settings(max_examples=120)

@@ -42,12 +42,13 @@ from totalfree import (
     rank2_flats,
     verify_certificate,
 )
-from totalfree.arrangement import _essential, _restrict, format_arrangement
+from totalfree.arrangement import (
+    _essential, _fundamental_circuits, _restrict, format_arrangement)
 from totalfree.cli import main
 from totalfree.matroid import connected_components, decompose
 from totalfree.certificates import (
-    CertificateExplanation, NonFreenessCertificate, _certificate, _generic_circuit, _k0,
-    _k0_cap, _verdict, nonfree_multiplicity_family)
+    CertificateExplanation, NonFreenessCertificate, _brute_circuit, _certificate, _k0,
+    _k0_cap, nonfree_multiplicity_family)
 from oracles import (
     deletion, deletion_restriction_circuit, e2, exhaustive_e2_max, fraction_components,
     fraction_rank, kernel_basis_restriction, linear_k0, random_invertible, random_unimodular)
@@ -187,13 +188,16 @@ def test_braid_s4_circuit_multiplicity_certificate():
 # -- generic circuits --------------------------------------------------------
 
 
+def _both_circuits(arr):
+    """The induction's circuit and the brute-force scan's, each checked."""
+    proof, brute = find_generic_circuit(arr), tuple(_brute_circuit(arr, arr.rank()))
+    assert is_generic_circuit(arr, proof) and is_generic_circuit(arr, brute)
+    return proof, brute
+
+
 def test_find_circuit_braid_s4_both_methods():
-    arr = braid_arrangement(4)
-    proof = find_generic_circuit(arr, method="proof")
-    brute = find_generic_circuit(arr, method="brute")
+    proof, brute = _both_circuits(braid_arrangement(4))
     assert len(proof) == len(brute) == 4
-    assert is_generic_circuit(arr, proof)
-    assert is_generic_circuit(arr, brute)
     assert brute == (0, 1, 4, 5)  # lexicographically first valid subset
 
 
@@ -210,17 +214,14 @@ def test_find_circuit_rank2_rejected():
 def test_find_circuit_braid_s5_and_s6():
     for dim in (5, 6):
         arr = braid_arrangement(dim)
-        for method in ("proof", "brute"):
-            circuit = find_generic_circuit(arr, method=method)
+        for circuit in _both_circuits(arr):
             assert len(circuit) == dim  # rank is dim-1
-            assert is_generic_circuit(arr, circuit)
 
 
 def test_find_circuit_generic_input():
     arr = generic_arrangement(6, 4, seed=8)
     if arr.rank() >= 3 and len(connected_components(arr)) == 1:
-        for method in ("proof", "brute"):
-            assert is_generic_circuit(arr, find_generic_circuit(arr, method))
+        _both_circuits(arr)
 
 
 def test_find_circuit_case1_branch():
@@ -232,20 +233,23 @@ def test_find_circuit_case1_branch():
     assert len(connected_components(deletion(arr, 0))) == 2
     images, _ = _restrict(arr.normals(), 0)
     assert len(images) == 4  # injective restriction
-    circuit = find_generic_circuit(arr, method="proof")
+    circuit = find_generic_circuit(arr)
     assert circuit == (0, 1, 2, 4)
     assert is_generic_circuit(arr, circuit)
 
 
 def test_circuit_search_computes_the_rank_once(monkeypatch):
-    calls = []
-    rank = Arrangement.rank
-    monkeypatch.setattr(Arrangement, "rank", lambda self: calls.append(self) or rank(self))
-    for dim, expected in ((5, (2, 5, 6, 7, 8)), (7, (4, 9, 13, 16, 17, 18, 19))):
+    # The precondition's fundamental circuits are the first level of the
+    # induction and the postcondition's rank; each lower level eliminates
+    # once.  Before the rank was memoized the postcondition eliminated again.
+    counts = _counting(monkeypatch)
+    for dim, expected, eliminations in ((5, (2, 5, 6, 7, 8), 2),
+                                        (7, (4, 9, 13, 16, 17, 18, 19), 4)):
         arr = _essential(braid_arrangement(dim).normals(), dim)
-        calls.clear()
+        counts.clear()
         assert find_generic_circuit(arr) == expected
-        assert len(calls) == 1  # the postcondition; the precondition is the first elimination
+        assert counts == {"elim": eliminations}
+        assert find_generic_circuit(arr) == expected and counts["elim"] == 2 * eliminations - 1
 
 
 def test_circuit_induction_builds_no_arrangement(monkeypatch):
@@ -256,7 +260,7 @@ def test_circuit_induction_builds_no_arrangement(monkeypatch):
     post_init = Arrangement.__post_init__
     monkeypatch.setattr(Arrangement, "__post_init__",
                         lambda self: built.append(1) or post_init(self))
-    assert _generic_circuit(arr, 7, "proof") == (5, 11, 16, 20, 23, 24, 25, 26)
+    assert find_generic_circuit(arr) == (5, 11, 16, 20, 23, 24, 25, 26)
     assert built == []
 
 
@@ -333,8 +337,12 @@ def test_verdict_lmp2_from_the_input_flats_matches_the_factor_pass(cases, lines,
     change = random_unimodular(rng, arr.dim)
     arr = arrangement(arr.dim, [[sum(a[i] * change[i][j] for i in range(arr.dim))
                                  for j in range(arr.dim)] for a in arr.normals()])
-    verdict = _verdict(arr)
-    assert verdict == decide_totally_free(arr)
+    verdict = decide_totally_free(arr)
+    fresh = arrangement(arr.dim, arr.normals())
+    assert decompose(arr) == decompose(fresh) and verdict == decide_totally_free(fresh)
+    for factor in verdict.decomposition.factors:  # the circuits decompose stored
+        stored = vars(factor.arrangement)["_memo"]["circuits"]
+        assert stored == _fundamental_circuits(factor.arrangement.normals())
     w = verdict.witness
     m_factor = tuple(w.k0 if i in w.circuit else 1 for i in range(w.factor.arrangement.n))
     assert w.certificate.lmp2_lower == lmp2(w.factor.arrangement, m_factor)
@@ -402,11 +410,11 @@ def _counting(monkeypatch) -> Counter:
     def counted(name, fn):
         return lambda *args, **kwargs: counts.update([name]) or fn(*args, **kwargs)
 
-    modules = {name: sys.modules[f"totalfree.{name}"]  # totalfree.arrangement is a function
-               for name in ("linalg", "arrangement", "matroid", "certificates", "cli")}
-    for name in ("linalg", "arrangement", "matroid", "certificates"):
-        monkeypatch.setattr(modules[name], "_eliminate", counted("elim", modules[name]._eliminate))
-    for module in (modules["arrangement"], modules["certificates"]):
+    modules = [sys.modules[f"totalfree.{name}"]  # totalfree.arrangement is a function
+               for name in ("linalg", "arrangement", "certificates")]
+    for module in modules:
+        monkeypatch.setattr(module, "_eliminate", counted("elim", module._eliminate))
+    for module in modules[1:]:
         monkeypatch.setattr(module, "_rank2_flats", counted("flats", module._rank2_flats))
     monkeypatch.setattr(totalfree.certificates, "line_exponents",
                         counted("reads", totalfree.certificates.line_exponents))
@@ -418,7 +426,8 @@ def _counting(monkeypatch) -> Counter:
 
 def test_analyze_builds_each_structure_once(monkeypatch, tmp_path, capsys):
     # Braid dim 8: the decomposition's elimination gives the induction its
-    # first level (an elimination of its own made 8), the factor is built
+    # first level (an elimination of its own made 8) and the rank that the
+    # circuit's postcondition and the report read (one more made 7), the factor is built
     # once (a copy of its hyperplanes essentialized through arrangement() made
     # 3 builds), one pass finds the 266 flats and the pair term reads
     # exponents for the 56 flats of three lines only.
@@ -429,7 +438,7 @@ def test_analyze_builds_each_structure_once(monkeypatch, tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert len(result["rank2_flats"]) == 266
     assert result["verdict"]["witness"]["certificate"]["lmp2"] == 1674308
-    assert counts == {"elim": 7, "built": 2, "flats": 1, "reads": 56}
+    assert counts == {"elim": 6, "built": 2, "flats": 1, "reads": 56}
 
 
 def test_verify_certificate_builds_no_arrangement(monkeypatch):
@@ -463,13 +472,14 @@ def test_reverification_reuses_the_verifiers_structure(monkeypatch):
 
 def test_the_emitter_finds_its_flats_once_per_arrangement(monkeypatch):
     # A verdict and nonfree_by_lmp_gmp at k0..k0+8 on one arrangement: one
-    # flats pass.  The verdict eliminates 4 times and builds its factor; the
-    # rank is not memoized, so each certificate eliminates once for it.
+    # flats pass.  The verdict eliminates 3 times (the circuits, the factor's
+    # essentialization, one induction level) and builds its factor; each
+    # certificate reads the rank the decomposition left (13 eliminations before).
     arr = braid_arrangement(4)
     counts = _counting(monkeypatch)
     certs = _family_certificates(arr)
     assert [cert.lmp2_lower for cert in certs] == [braid_lmp2(4, c.multiplicity) for c in certs]
-    assert counts == {"elim": 13, "built": 1, "flats": 1, "reads": 40}
+    assert counts == {"elim": 3, "built": 1, "flats": 1, "reads": 40}
 
 
 def _claim(cert, indices, rank):
@@ -516,11 +526,23 @@ def test_memoized_verdicts_equal_verdicts_on_fresh_arrangements(dim, checks, rng
         assert verdict == (how == "genuine")
 
 
+def _immutable(value) -> bool:
+    """Tuples, frozensets and frozen dataclasses all the way down."""
+    if dataclasses.is_dataclass(value):
+        return (value.__dataclass_params__.frozen
+                and all(_immutable(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if type(value) in (tuple, frozenset):
+        return all(_immutable(v) for v in value)
+    return type(value) in (int, bool, str)
+
+
 def test_the_memo_changes_nothing_about_an_arrangement():
     arr, twin = braid_arrangement(5), braid_arrangement(5)
     assert verify_certificate(arr, decide_totally_free(arr).witness.certificate)
     memo = vars(arr)["_memo"]
-    assert len(memo) == 2 and all(type(entry) is tuple for entry in memo.values())
+    assert len(memo) == 4 and all(_immutable(entry) for entry in memo.values())
+    factor = decompose(arr).factors[0].arrangement
+    assert all(_immutable(entry) for entry in vars(factor)["_memo"].values())
     assert "_memo" not in vars(twin)
     assert arr == twin and hash(arr) == hash(twin) and repr(arr) == repr(twin)
     for other in (pickle.loads(pickle.dumps(arr)), copy.copy(arr), copy.deepcopy(arr),
@@ -546,9 +568,7 @@ def test_find_circuit_fuzz_random_connected():
         if arr.rank() < 3 or len(connected_components(arr)) != 1:
             continue
         found += 1
-        for method in ("proof", "brute"):
-            circuit = find_generic_circuit(arr, method=method)
-            assert is_generic_circuit(arr, circuit)
+        _both_circuits(arr)
 
 
 def test_circuit_check_values():

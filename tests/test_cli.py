@@ -247,22 +247,20 @@ def test_exponents_evaluates_saito_once_per_rank2_factor(capsys, monkeypatch, na
 
 
 @pytest.mark.parametrize("command, name, expected", [
-    ("analyze", "braid5", 1), ("totally-free", "braid5", 1), ("exponents", "braid5", 1),
-    ("lmp2", "braid5", 1), ("gmp2max", "braid5", 1), ("witness", "braid5", 2),
-    ("analyze", "product-rank2", 0),
+    ("analyze", "braid5", 3), ("totally-free", "braid5", 3), ("exponents", "braid5", 3),
+    ("lmp2", "braid5", 1), ("gmp2max", "braid5", 1), ("witness", "braid5", 3),
+    ("analyze", "product-rank2", 3),
 ])
 def test_report_takes_the_rank_the_command_holds(capsys, monkeypatch, command, name, expected):
-    # The circuit search takes the factor's rank from the decomposition and
-    # checks its postcondition with a rank, as the brute circuit does; lmp2
-    # and gmp2max compute the rank once and derive the certificate from it.
-    # input_summary reuses a rank already computed, or the decomposition's.
-    calls = []
-    rank = totalfree.Arrangement.rank
-    monkeypatch.setattr(totalfree.Arrangement, "rank",
-                        lambda self: calls.append(1) or rank(self))
+    # The rank is a memo entry of the input: the decomposition's elimination
+    # fills it (then each factor's essentialization and, on braid5, one level
+    # of the circuit induction eliminate), and input_summary, the circuit's
+    # postcondition and the certificate read it; lmp2 and gmp2max eliminate
+    # once for it.  Before, these commands made 4/4/4/1/1/5/3 eliminations.
+    eliminations = _count_bindings(monkeypatch, "totalfree.linalg", "_eliminate")
     code, out, _ = run(capsys, command, "-i", str(GOLDEN / f"{name}.arr"), "--json")
     assert code == 0 and "rank" in json.loads(out)["input_summary"]
-    assert len(calls) == expected
+    assert len(eliminations) == expected
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -281,8 +279,8 @@ def test_lmp2_builds_its_flats_once(capsys, monkeypatch):
 
 
 def test_witness_checks_the_circuit_precondition_once(capsys, monkeypatch):
-    # The decomposition shows the factor connected and gives its rank and its
-    # fundamental circuits; both circuits reuse them, the induction checks
+    # The decomposition shows the factor connected and stores its fundamental
+    # circuits, hence its rank; both circuits read them, the induction checks
     # them again at its first level (rank 4) and eliminates once more at
     # rank 3, and both circuits still check their own output.
     levels = _count_calls(monkeypatch, totalfree.certificates, "_fundamental_circuits")
@@ -309,17 +307,18 @@ def _count_bindings(monkeypatch, module_name, name) -> list:
 
 def test_analyze_reuses_its_flats_and_eliminates_once_per_level(tmp_path, capsys, monkeypatch):
     # Braid dim 8 (rank 7): the decomposition's components and
-    # essentialization, one elimination per level of the circuit induction
-    # (ranks 7 down to 3) and the circuit's rank postcondition; the factor's
-    # LMP2 reads the input's rank-2 flats.  The induction before one
-    # elimination per level made 32 eliminations and 2 flat passes here.
+    # essentialization and one elimination per level of the circuit induction
+    # below its first (ranks 6 down to 3); the circuit's rank postcondition
+    # reads the memoized rank, and the factor's LMP2 the input's rank-2 flats.
+    # The induction before one elimination per level made 32 eliminations
+    # and 2 flat passes here; before the memoized rank, 7 eliminations.
     eliminations = _count_bindings(monkeypatch, "totalfree.linalg", "_eliminate")
     flats = _count_bindings(monkeypatch, "totalfree.arrangement", "_rank2_flats")
     code, out, _ = run(capsys, "analyze", "-i", braid_file(tmp_path, 8), "--json")
     result = json.loads(out)["result"]
     assert code == 0 and result["verdict"]["witness"]["k0"] == 242
     assert len(result["rank2_flats"]) == 266
-    assert len(flats) == 1 and len(eliminations) <= 8
+    assert len(flats) == 1 and len(eliminations) == 6
 
 
 def test_exponents_refuses_too_many_trivial_directions(tmp_path, capsys):
