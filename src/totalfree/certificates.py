@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb, isqrt
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .arrangement import (
@@ -45,10 +46,10 @@ from .arrangement import (
     check_multiplicity,
     rank2_flats,
 )
-from .errors import DimensionMismatchError, InternalInvariantError, ReducibleInputError
+from .errors import InternalInvariantError, ReducibleInputError
 from .linalg import _eliminate
 from .matroid import Decomposition, Factor, _blocks, decompose
-from .rank2 import ExponentPair, line_exponents
+from .rank2 import ExponentPair, line_degrees, line_exponents
 
 # -- mixed products ----------------------------------------------------------
 
@@ -67,21 +68,20 @@ def lmp2(arr: Arrangement, m: Multiplicity) -> int:
     return _lmp2(_flats(arr), m, range(arr.n))
 
 
-def _e2(ms: Sequence[int]) -> int:
-    """The sum of m_i * m_j over all pairs."""
-    return (sum(ms) ** 2 - sum([x * x for x in ms])) // 2
-
-
 def _lmp2(flats: Sequence[tuple], m: Multiplicity, block: Iterable[int]) -> int:
     """LMP2 on ``block`` under a checked ``m``, from its ``_rank2_flats``, by the pair
     term: two hyperplanes lie in exactly one rank-2 flat and two lines have exponents
-    (m_i, m_j), so LMP2 = e2(m on the block) + (d1*d2 - e2(m on X)) over X of 3+ lines."""
-    value = _e2([m[i] for i in block])
+    (m_i, m_j), so LMP2 = e2(m on the block) + (d1*d2 - e2(m on X)) over X of 3+ lines,
+    where d1 + d2 = |m on X| makes a term (sum m_k^2 - d1^2 - d2^2) / 2: twice LMP2 is
+    summed from the ints ``line_degrees`` reads, then halved."""
+    ms = [m[i] for i in block]
+    twice = sum(ms) ** 2 - sum(map(mul, ms, ms))
     for members, lines in flats:
         if len(members) > 2:
-            ms = tuple([m[k] for k in members])
-            value += line_exponents(lines, ms).product - _e2(ms)
-    return value
+            ms = itemgetter(*members)(m)
+            d1, d2 = line_degrees(lines, ms)
+            twice += sum(map(mul, ms, ms)) - d1 * d1 - d2 * d2
+    return twice // 2
 
 
 def gmp2_max(rank: int, total: int) -> int:
@@ -496,41 +496,44 @@ def _emission_recheck(cert: NonFreenessCertificate) -> None:
 def verify_certificate(arr: Arrangement, cert: NonFreenessCertificate) -> bool:
     """Recompute a certificate through checked bases; True iff it stands.
 
-    LMP2 is rebuilt by the pair term (``_lmp2``) from the rank-2 flats of the
-    indexed normals; the exponents of a flat of three or more lines come only
-    from bases checked in integers before they were cached
-    (``rank2._min_degree``).  No Arrangement, HomPoly or Fraction is built.
-    The GMP2 maximum is checked against ``gmp2_max``, an O(1) closed form
-    with its proof.  Indices must be distinct ints in range, multiplicities
-    one positive int per hyperplane, and the rank, LMP2, GMP2 and total
-    ints, the rank >= 1; anything else is False.
-
-    The indices must be closed: every other hyperplane raises the rank.
-    A closed set is a localization A_X, and localization keeps a
-    multiarrangement free (Ziegler 1989), so LMP2 > GMP2max on it refutes
-    freeness of the whole; on another subset it refutes nothing.  Rank, closure
-    and flats are memoized on ``arr`` by index tuple (``_closure_facts``).
+    The checks, in order, each False on failure: (1) the indices, rank, LMP2, GMP2
+    and total are of type int (no bool); (2) the multiplicity is one int >= 1 per
+    hyperplane; (3) the indices are in range; (4) they are distinct, their
+    multiplicities sum to the total, and the rank is >= 1; (5) their normals have
+    that rank and are closed: every other hyperplane raises it; (6) LMP2, rebuilt
+    by the pair term (``_lmp2``) from their rank-2 flats, is the claim (at least
+    it, for a lower bound); (7) GMP2 is ``gmp2_max``, an O(1) closed form with its
+    proof, and LMP2 exceeds it.  A closed set is a localization A_X, which keeps a
+    multiarrangement free (Ziegler 1989), so LMP2 > GMP2max on it refutes freeness
+    of the whole; on another subset it refutes nothing.  Flats of 3+ lines read
+    their exponents as ints from bases checked before they were cached
+    (``rank2.line_degrees``); no Arrangement, HomPoly, Fraction or ExponentPair is
+    built.  Rank, closure and flats are memoized by index tuple (``_closure_facts``).
     """
     indices = tuple(cert.explanation.factor_indices)
-    numbers = (*indices, cert.rank, cert.lmp2_lower, cert.gmp2_upper, cert.total_multiplicity)
-    if any(type(x) is not int for x in numbers):
+    m, rank, total, n = cert.multiplicity, cert.rank, cert.total_multiplicity, arr.n
+    for x in (*indices, rank, cert.lmp2_lower, cert.gmp2_upper, total):
+        if type(x) is not int:
+            return False
+    if len(m) != n:
         return False
-    try:
-        check_multiplicity(arr, cert.multiplicity)
-    except (DimensionMismatchError, ValueError):
+    for x in m:
+        if type(x) is not int or x < 1:
+            return False
+    m_sub = []
+    for i in indices:
+        if not 0 <= i < n:
+            return False
+        m_sub.append(m[i])
+    if len(set(indices)) != len(indices) or sum(m_sub) != total or rank < 1:
         return False
-    if len(set(indices) & set(range(arr.n))) != len(indices):
-        return False
-    m_sub = tuple(cert.multiplicity[i] for i in indices)
-    if sum(m_sub) != cert.total_multiplicity or cert.rank < 1:
-        return False
-    rank, closed, flats = _memo(arr, ("verify", indices), lambda: _closure_facts(arr, indices))
-    if rank != cert.rank or not closed:
+    found, closed, flats = _memo(arr, ("verify", indices), lambda: _closure_facts(arr, indices))
+    if found != rank or not closed:
         return False
     recomputed = _lmp2(flats, m_sub, range(len(indices)))
     if recomputed < cert.lmp2_lower or cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
         return False
-    upper = gmp2_max(cert.rank, cert.total_multiplicity)
+    upper = gmp2_max(rank, total)
     return upper == cert.gmp2_upper and recomputed > upper
 
 

@@ -9,8 +9,9 @@ It runs in coordinates where the two heaviest lines are the axes.
 
 ``_min_degree`` checks its generators as a basis there, in integers
 (``_is_basis``), before it returns and caches them, so every exponent pair
-read from it is checked: ``rank2_exponents``, ``lmp2_breakdown`` and the
-pair term's larger flats build no polynomial object.  Only ``rank2_basis``
+read from it is checked.  ``line_degrees`` reads its degrees as two ints for the
+pair term; ``rank2_exponents`` and ``lmp2_breakdown`` wrap them in an
+ExponentPair (``line_exponents``).  None builds a polynomial.  Only ``rank2_basis``
 builds HomPoly derivations, mapped back by adj(C) (``_to_original``), to
 print them.  ``saito_check`` evaluates Saito's criterion on derivations a
 user supplies, in any dimension.
@@ -165,14 +166,20 @@ def rank2_exponents(arr2: Arrangement, m: Multiplicity) -> ExponentPair:
     return line_exponents(tuple(arr2.normals()), tuple(m))
 
 
-def line_exponents(lines: tuple[IntVector, ...], m: tuple[int, ...]) -> ExponentPair:
-    """Exponents of distinct primitive lines under checked multiplicities: the
-    one read of the checked cache, for ``rank2_exponents`` after its checks
-    and for ``lmp2_breakdown`` and the pair term on each flat's lines."""
+def line_degrees(lines: tuple[IntVector, ...], m: tuple[int, ...]) -> tuple[int, int]:
+    """Exponents (d1, d2) of distinct primitive lines under checked multiplicities as
+    ints: the one read of the checked cache, for ``line_exponents`` and the pair term.
+    ``_min_degree`` returns its degrees sorted, from generators that passed
+    ``_is_basis``, so 0 <= d1 <= d2 and d1 + d2 = |m| hold without ExponentPair's check."""
     if len(lines) == 1:
-        return ExponentPair(0, m[0])
+        return 0, m[0]
     (d1, _, _), (d2, _, _) = _min_degree(lines, m)
-    return ExponentPair(d1, d2)
+    return d1, d2
+
+
+def line_exponents(lines: tuple[IntVector, ...], m: tuple[int, ...]) -> ExponentPair:
+    """``line_degrees`` as an ExponentPair, for ``rank2_exponents`` and ``lmp2_breakdown``."""
+    return ExponentPair(*line_degrees(lines, m))
 
 
 def _to_original(pair: tuple[list[int], list[int]], den: int, change: Conjugation

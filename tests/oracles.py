@@ -14,11 +14,11 @@ from math import comb, gcd, lcm
 
 from totalfree.arrangement import (
     Arrangement, check_multiplicity, derivation, is_member_at, normalize_hyperplane)
-from totalfree.certificates import _all_triples_rank3
+from totalfree.certificates import _all_triples_rank3, _closure_facts, gmp2_max
 from totalfree.errors import DimensionMismatchError
 from totalfree.linalg import Matrix
 from totalfree.poly import HomPoly, poly_det
-from totalfree.rank2 import _transformed_lines
+from totalfree.rank2 import _transformed_lines, line_exponents
 
 
 def rank_rows(rows) -> int:
@@ -602,6 +602,37 @@ def linear_k0(rank: int, n: int) -> int:
 def e2(values) -> int:
     s = sum(values)
     return (s * s - sum(v * v for v in values)) // 2
+
+
+def reference_verify(arr, cert) -> bool:
+    """``verify_certificate`` as it was before its checks became plain loops over
+    ints: generator checks, ``check_multiplicity`` under try/except, and LMP2 summed
+    from ExponentPair products and e2 per flat.  Rank, closure and flats are
+    recomputed on every call instead of read from the memo."""
+    indices = tuple(cert.explanation.factor_indices)
+    numbers = (*indices, cert.rank, cert.lmp2_lower, cert.gmp2_upper, cert.total_multiplicity)
+    if any(type(x) is not int for x in numbers):
+        return False
+    try:
+        check_multiplicity(arr, cert.multiplicity)
+    except (DimensionMismatchError, ValueError):
+        return False
+    if len(set(indices) & set(range(arr.n))) != len(indices):
+        return False
+    m_sub = tuple(cert.multiplicity[i] for i in indices)
+    if sum(m_sub) != cert.total_multiplicity or cert.rank < 1:
+        return False
+    rank, closed, flats = _closure_facts(arr, indices)
+    if rank != cert.rank or not closed:
+        return False
+    recomputed = e2(m_sub)
+    for members, lines in flats:
+        ms = tuple(m_sub[k] for k in members)
+        recomputed += line_exponents(lines, ms).product - e2(ms)
+    if recomputed < cert.lmp2_lower or cert.lmp2_is_exact and recomputed != cert.lmp2_lower:
+        return False
+    upper = gmp2_max(cert.rank, cert.total_multiplicity)
+    return upper == cert.gmp2_upper and recomputed > upper
 
 
 def exhaustive_e2_max(parts: int, total: int) -> int:

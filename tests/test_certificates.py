@@ -18,6 +18,7 @@ import totalfree.certificates
 import totalfree.rank2
 from totalfree import (
     Arrangement,
+    ExponentPair,
     InternalInvariantError,
     ReducibleInputError,
     arrangement,
@@ -51,7 +52,8 @@ from totalfree.certificates import (
     _k0_cap, nonfree_multiplicity_family)
 from oracles import (
     deletion, deletion_restriction_circuit, e2, exhaustive_e2_max, fraction_components,
-    fraction_rank, kernel_basis_restriction, linear_k0, random_invertible, random_unimodular)
+    fraction_rank, kernel_basis_restriction, linear_k0, random_invertible, random_unimodular,
+    reference_verify)
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench"))
@@ -416,8 +418,8 @@ def _counting(monkeypatch) -> Counter:
         monkeypatch.setattr(module, "_eliminate", counted("elim", module._eliminate))
     for module in modules[1:]:
         monkeypatch.setattr(module, "_rank2_flats", counted("flats", module._rank2_flats))
-    monkeypatch.setattr(totalfree.certificates, "line_exponents",
-                        counted("reads", totalfree.certificates.line_exponents))
+    monkeypatch.setattr(totalfree.certificates, "line_degrees",
+                        counted("reads", totalfree.certificates.line_degrees))
     post_init = Arrangement.__post_init__
     monkeypatch.setattr(Arrangement, "__post_init__",
                         lambda self: counts.update(["built"]) or post_init(self))
@@ -524,6 +526,129 @@ def test_memoized_verdicts_equal_verdicts_on_fresh_arrangements(dim, checks, rng
         verdict = verify_certificate(shared, cert)
         assert verdict == verify_certificate(arrangement(dim, arr.normals()), cert)
         assert verdict == (how == "genuine")
+
+
+def _forged(obj, **fields):
+    """A copy of a frozen certificate or explanation with ``fields`` set, past
+    __post_init__: a claim a caller can still hand the verifier."""
+    forged = copy.copy(obj)
+    for name, value in fields.items():
+        object.__setattr__(forged, name, value)
+    return forged
+
+
+def _reindexed(cert, indices, **fields):
+    return _forged(cert, explanation=_forged(cert.explanation, factor_indices=indices), **fields)
+
+
+def _malformed(arr, cert, circuit, rng):
+    """Claims that differ from ``cert`` in one respect, the other fields adjusted
+    where that keeps every other check passing."""
+    n, indices, m = arr.n, tuple(cert.explanation.factor_indices), tuple(cert.multiplicity)
+    rank, total, lmp2_lower = cert.rank, cert.total_multiplicity, cert.lmp2_lower
+    j = rng.randrange(len(indices))
+    i = indices[j]
+
+    def swapped(index):
+        return indices[:j] + (index,) + indices[j + 1:]
+
+    claims = [_reindexed(cert, swapped(float(i))),
+              _reindexed(cert, swapped(i - n)),  # the same hyperplane, wrapped around
+              _reindexed(cert, swapped(n + rng.randrange(3))),
+              _reindexed(cert, indices + (i,), total_multiplicity=total + m[i]),
+              _forged(cert, multiplicity=m + (1,)),
+              _forged(cert, multiplicity=m[:-1])]
+    claims += [_reindexed(cert, tuple(bool(k) if k == b else k for k in indices))
+               for b in (0, 1) if b in indices]
+    # An entry outside the block, or one equal to 1, leaves the total and LMP2 as they were.
+    spare = [k for k in range(n) if k not in indices or m[k] == 1] or list(indices)
+    for value in (0, -1, True, 1.0):
+        k = rng.choice(spare)
+        claims.append(_forged(cert, multiplicity=m[:k] + (value,) + m[k + 1:],
+                              total_multiplicity=total - m[k] + value if k in indices else total))
+    claims += [_forged(cert, rank=float(rank)), _forged(cert, lmp2_lower=float(lmp2_lower)),
+               _forged(cert, gmp2_upper=float(cert.gmp2_upper)),
+               _forged(cert, total_multiplicity=float(total)),
+               _forged(cert, rank=0),
+               _reindexed(cert, (), rank=0, total_multiplicity=0, lmp2_lower=0, gmp2_upper=-1),
+               _forged(cert, total_multiplicity=total - 1, gmp2_upper=gmp2_max(rank, total - 1)),
+               _forged(cert, rank=rank + 1, gmp2_upper=gmp2_max(rank + 1, total)),
+               _forged(cert, lmp2_is_exact=False, lmp2_lower=lmp2_lower + 1),
+               _forged(cert, gmp2_upper=cert.gmp2_upper - 1),
+               _claim(cert, circuit, rank),
+               tamper(cert, "lmp2", rng), tamper(cert, "mult", rng)]
+    # A closed rank-2 flat whose exact LMP2 does not exceed GMP2max.
+    for flat, pair in lmp2_breakdown(arr, m):
+        if len(flat.members) > 2:
+            flat_total = sum(m[k] for k in flat.members)
+            claims.append(_reindexed(cert, flat.members, rank=2, total_multiplicity=flat_total,
+                                     lmp2_lower=pair.product, lmp2_is_exact=True,
+                                     gmp2_upper=gmp2_max(2, flat_total)))
+            break
+    return claims
+
+
+@st.composite
+def _verifier_inputs(draw):
+    """A braid arrangement of dim 4-6 or a random connected one of rank 3-4, times
+    a line or not, in unimodular coordinates that keep the hyperplane order."""
+    if draw(st.booleans()):
+        arr = braid_arrangement(draw(st.integers(4, 6)))
+    else:
+        dim = draw(st.integers(3, 4))
+        vectors = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+        rows = draw(st.lists(vectors, min_size=dim + 1, max_size=dim + 4))
+        arr = arrangement(dim, dict.fromkeys(normalize_hyperplane(r).normal for r in rows))
+        assume(fraction_rank(arr.normals(), dim) == dim and len(fraction_components(arr)) == 1)
+    if draw(st.booleans()):
+        arr = product(arr, arrangement(1, [(1,)]))
+    change = random_unimodular(draw(st.randoms(use_true_random=False)), arr.dim)
+    return arrangement(arr.dim, [[sum(a[i] * change[i][j] for i in range(arr.dim))
+                                  for j in range(arr.dim)] for a in arr.normals()])
+
+
+@settings(max_examples=40, derandomize=True)
+@given(_verifier_inputs(), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_verdicts_equal_the_reference_verifier(arr, j, rng):
+    # Genuine certificates at k0..k0+8 (the verdict's own where the input is a
+    # product), the benchmark's tamperings and malformed claims: each verdict on
+    # one reused Arrangement and on a new one equals reference_verify's.
+    witness = decide_totally_free(arrangement(arr.dim, arr.normals())).witness
+    family = _family_certificates(arrangement(arr.dim, arr.normals()))
+    genuine = [witness.certificate, *[c for c in family[1:] if c is not None]]
+    claims = genuine + _malformed(arr, genuine[j % len(genuine)], witness.circuit_original, rng)
+    shared = arrangement(arr.dim, arr.normals())
+    verdicts = []
+    for claim in claims:
+        verdicts.append(reference_verify(arrangement(arr.dim, arr.normals()), claim))
+        assert verify_certificate(shared, claim) is verdicts[-1]
+        assert verify_certificate(arrangement(arr.dim, arr.normals()), claim) is verdicts[-1]
+    assert verdicts[:len(genuine)] == [True] * len(genuine)
+
+
+def test_the_pair_term_builds_no_exponent_pair(monkeypatch):
+    # LMP2, the verdict and the verifier read degree pairs as ints
+    # (rank2.line_degrees); lmp2_breakdown and rank2_exponents still wrap them.
+    expected = {}
+    for dim in (4, 5, 6):
+        verdict = decide_totally_free(braid_arrangement(dim))
+        m = verdict.witness.certificate.multiplicity
+        expected[dim] = verdict, m, lmp2(braid_arrangement(dim), m)
+
+    def refuse(*args):
+        raise AssertionError("an ExponentPair was built")
+
+    monkeypatch.setattr(totalfree.rank2, "ExponentPair", refuse)
+    for dim, (verdict, m, value) in expected.items():
+        assert decide_totally_free(braid_arrangement(dim)) == verdict
+        assert verify_certificate(braid_arrangement(dim), verdict.witness.certificate) is True
+        assert lmp2(braid_arrangement(dim), m) == value
+    with pytest.raises(AssertionError, match="ExponentPair"):
+        lmp2_breakdown(braid_arrangement(4), expected[4][1])
+    monkeypatch.undo()
+    assert all(type(pair) is ExponentPair for _, pair in lmp2_breakdown(braid_arrangement(4),
+                                                                         expected[4][1]))
+    assert type(rank2_exponents(THREE_LINES, (2, 3, 4))) is ExponentPair
 
 
 def _immutable(value) -> bool:
